@@ -1,9 +1,13 @@
 """2D fractional-step solver: projection exactness, oracles, physics."""
 
+import types
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from podsnap.errors import ArgumentError, FormatError, StabilityError
+from podsnap.errors import ArgumentError, FormatError, NumericalError, StabilityError
 from podsnap.grids import StaggeredGrid2D
 from podsnap.solidify2d import (
     CavitySolver,
@@ -20,6 +24,7 @@ from podsnap.solidify2d import (
     viscosity_of,
     write_config,
 )
+from podsnap.solidify2d import solver as solver_module
 from podsnap.solidify2d.configfile import config_text
 
 
@@ -101,6 +106,75 @@ class TestTentativeVelocity:
         u_tent, v_tent = solver.tentative_velocity(initial_state(cfg))
         assert np.all(u_tent[:, 0] == 0.0) and np.all(u_tent[:, -1] == 0.0)
         assert np.all(v_tent[0, :] == 0.0) and np.all(v_tent[-1, :] == 0.0)
+
+
+def spla_with_splu(splu):
+    """Stand-in for the solver module's ``spla`` with ``splu`` replaced."""
+    return types.SimpleNamespace(splu=splu)
+
+
+class TestMomentumSystems:
+    @pytest.mark.parametrize("tangential", ["no_slip", "free_slip"])
+    @pytest.mark.parametrize("component", ["u", "v"])
+    def test_fixed_pattern_matches_reference_build(self, component, tangential):
+        g = StaggeredGrid2D(7, 5)
+        cfg = small_config(grid=g, wall_tangential=tangential)
+        solver = CavitySolver(cfg)
+        rng = np.random.default_rng(11)
+        pattern = getattr(solver, f"_{component}_pattern")
+        # interior faces the component's system solves for
+        shape = (g.ny, g.nx - 1) if component == "u" else (g.ny - 1, g.nx)
+        mu = viscosity_of(cfg.viscosity, rng.uniform(600.0, 700.0, g.cell_shape))
+        stencil = getattr(solver, f"_stencil_{component}")(
+            rng.normal(size=shape), rng.normal(size=shape), mu
+        )
+        n = pattern.n
+        matrix = pattern.matrix(stencil, 1.0 / cfg.dt)
+        reference = sp.csc_matrix(
+            (stencil.values(), (pattern.rows, pattern.cols)), shape=(n, n)
+        ) + sp.identity(n, format="csc") / cfg.dt
+        reference.sort_indices()
+        assert matrix.has_sorted_indices
+        # strictly increasing row indices within every column: no duplicates
+        for j in range(n):
+            assert np.all(np.diff(matrix.indices[matrix.indptr[j] : matrix.indptr[j + 1]]) > 0)
+        np.testing.assert_array_equal(matrix.indptr, reference.indptr)
+        np.testing.assert_array_equal(matrix.indices, reference.indices)
+        np.testing.assert_array_equal(matrix.data, reference.data)
+        f = rng.normal(size=shape)
+        np.testing.assert_allclose(
+            matrix @ f.ravel(), (stencil.apply(f) + f / cfg.dt).ravel(), rtol=1e-13, atol=1e-9
+        )
+
+    def test_residual_check_rejects_inaccurate_factor(self, monkeypatch):
+        cfg = small_config(initial_temp=700.0, t_ref=650.0)
+        solver = CavitySolver(cfg)
+        state = initial_state(cfg)
+        solver.tentative_velocity(state)
+        monkeypatch.setattr(
+            solver_module, "spla",
+            spla_with_splu(lambda a, **kw: spla.splu((a * (1.0 + 1e-6)).tocsc(), **kw)),
+        )
+        with pytest.raises(NumericalError) as err:
+            solver.tentative_velocity(state)
+        assert "momentum solve did not reach tolerance" in str(err.value)
+        assert err.value.residual > 1e-10
+
+    def test_ordering_changes_snapshots_only_at_round_off(self, monkeypatch):
+        cfg = default_pure_metal_config(grid=StaggeredGrid2D(16, 16), n_steps=40, snap_every=2)
+        shipped = run_case(cfg)
+        frozen = np.sum(shipped.field("T") < cfg.viscosity.t_freeze, axis=0)
+        # the wall column freezes on step 1; the front then advances
+        assert frozen[-1] > frozen[0] > 0
+        monkeypatch.setattr(
+            solver_module, "spla",
+            spla_with_splu(lambda a, **kw: spla.splu(a, **{**kw, "permc_spec": "COLAMD"})),
+        )
+        colamd = run_case(cfg)
+        for name in shipped.layout.names:
+            a, b = shipped.field(name), colamd.field(name)
+            rel = np.linalg.norm(a - b, axis=0) / np.linalg.norm(a, axis=0)
+            assert np.all(rel <= 1e-10), (name, rel.max())
 
 
 class TestPressureCorrection:
