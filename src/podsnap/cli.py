@@ -16,6 +16,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +36,6 @@ from .grids import Grid1D
 from .snapshots import read_snap, write_snap
 from .solidify2d import (
     SimConfig,
-    ViscosityModel,
     default_mushy_config,
     default_pure_metal_config,
     read_config,
@@ -115,13 +115,7 @@ def _cavity_config(args) -> SimConfig:
     cfg = read_config(args.config)
     overrides = {}
     if args.viscosity is not None:
-        overrides["viscosity"] = ViscosityModel(
-            kind=args.viscosity,
-            mu_liquid=cfg.viscosity.mu_liquid,
-            t_freeze=cfg.viscosity.t_freeze,
-            jump_factor=cfg.viscosity.jump_factor,
-            mu_cap=cfg.viscosity.mu_cap,
-        )
+        overrides["viscosity"] = dataclasses.replace(cfg.viscosity, kind=args.viscosity)
     if args.dt is not None:
         overrides["dt"] = args.dt
     if args.n_steps is not None:
@@ -129,8 +123,6 @@ def _cavity_config(args) -> SimConfig:
     if args.snap_every is not None:
         overrides["snap_every"] = args.snap_every
     if overrides:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
 
@@ -220,8 +212,6 @@ def _cmd_repro(args) -> None:
         base = read_config(args.cavity_config)
     else:
         base = default_mushy_config()
-    import dataclasses
-
     mushy_cfg = dataclasses.replace(
         base, viscosity=dataclasses.replace(base.viscosity, kind="mushy")
     )

@@ -6,7 +6,6 @@ from .model import (
     FlowState,
     SimConfig,
     ViscosityModel,
-    config_diff,
     default_mushy_config,
     default_pure_metal_config,
     initial_state,
@@ -21,7 +20,6 @@ __all__ = [
     "FlowState",
     "SimConfig",
     "ViscosityModel",
-    "config_diff",
     "default_mushy_config",
     "default_pure_metal_config",
     "initial_state",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,18 +183,3 @@ def default_pure_metal_config(**overrides) -> SimConfig:
     for the viscosity model."""
     overrides.setdefault("viscosity", ViscosityModel(kind="sharp_jump"))
     return SimConfig(**overrides)
-
-
-def config_diff(a: SimConfig, b: SimConfig) -> list[str]:
-    """Dotted paths of fields on which two configurations differ."""
-    diffs = []
-
-    def walk(x, y, prefix):
-        if dataclasses.is_dataclass(x) and type(x) is type(y):
-            for f in dataclasses.fields(x):
-                walk(getattr(x, f.name), getattr(y, f.name), f"{prefix}{f.name}.")
-        elif x != y:
-            diffs.append(prefix[:-1])
-
-    walk(a, b, "")
-    return diffs

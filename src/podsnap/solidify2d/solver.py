@@ -17,6 +17,8 @@ the corrected velocity is divergence-free to solver precision.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -32,38 +34,80 @@ MOMENTUM_TOL = 1e-10
 # here is structurally symmetric, and on the momentum systems this cuts
 # LU fill by about 40 % against the default COLAMD
 _PERMC_SPEC = "MMD_AT_PLUS_A"
+# the momentum systems arrive already symmetrically permuted into that
+# ordering (see _Pattern), so their per-step factor keeps the natural
+# order; single-column panels suit a five-point operator this sparse.
+# Together these take a late-step 64x64 factor from about 11 to 7 ms at
+# unchanged fill (2-vCPU x86-64 VM)
+_MOMENTUM_FACTOR = {"permc_spec": "NATURAL", "panel_size": 1}
+
+
+def _five_point(ny, nx):
+    """(rows, cols) of the five-point operator on an ny*nx field, in the
+    entry order of :meth:`_Stencil.values` (diag/east/west/north/south)."""
+    idx = np.arange(ny * nx).reshape(ny, nx)
+    blocks = [
+        (idx, idx),
+        (idx[:, :-1], idx[:, 1:]),
+        (idx[:, 1:], idx[:, :-1]),
+        (idx[:-1, :], idx[1:, :]),
+        (idx[1:, :], idx[:-1, :]),
+    ]
+    rows = np.concatenate([r.ravel() for r, _ in blocks])
+    cols = np.concatenate([c.ravel() for _, c in blocks])
+    return rows, cols
+
+
+@functools.lru_cache(maxsize=8)
+def _mmd_position(ny, nx):
+    """Position of each node of an ny*nx field in the ``MMD_AT_PLUS_A``
+    ordering of the five-point structure.
+
+    The ordering reads the structure only, so one probe factor of a
+    diagonally dominant matrix of this structure yields the ordering
+    SuperLU derives from every step's matrix. Cached per field shape, the
+    probe is paid once per grid rather than once per solver; only this
+    array is shared, as caching whole patterns raised peak RSS by about
+    7 MB at 64x64.
+    """
+    rows, cols = _five_point(ny, nx)
+    n = ny * nx
+    probe = sp.csc_matrix((np.where(rows == cols, 5.0, -1.0), (rows, cols)), shape=(n, n))
+    # the panel width shapes the numeric factor only; perm_c is a view
+    # that would keep the probe's whole factor alive, so keep a copy
+    lu = spla.splu(probe, permc_spec=_PERMC_SPEC, panel_size=1)
+    position = lu.perm_c.astype(np.int64)
+    position.flags.writeable = False
+    return position
 
 
 class _Pattern:
     """Fixed CSC structure of the five-point operator on an ny*nx field.
 
-    Built once per grid. ``order`` gathers :meth:`_Stencil.values` (the
-    COO entry order diag/east/west/north/south) into CSC data order, so
-    each step fills ``data`` without a COO conversion or index sort.
+    Built once per solver. The structure is stored symmetrically permuted
+    into its ``MMD_AT_PLUS_A`` ordering (:func:`_mmd_position`): row and
+    column ``k`` of :meth:`matrix` are node ``perm[k]`` of the field.
+    ``order`` gathers :meth:`_Stencil.values` into that CSC data order,
+    so each step fills ``data`` without a COO conversion, index sort or
+    reordering.
     """
 
-    __slots__ = ("n", "rows", "cols", "order", "indices", "indptr")
+    __slots__ = ("n", "rows", "cols", "perm", "order", "indices", "indptr")
 
     def __init__(self, ny, nx):
-        idx = np.arange(ny * nx).reshape(ny, nx)
         self.n = ny * nx
-        # (row, col) blocks in the order of _Stencil.values()
-        blocks = [
-            (idx, idx),
-            (idx[:, :-1], idx[:, 1:]),
-            (idx[:, 1:], idx[:, :-1]),
-            (idx[:-1, :], idx[1:, :]),
-            (idx[1:, :], idx[:-1, :]),
-        ]
-        self.rows = np.concatenate([r.ravel() for r, _ in blocks])
-        self.cols = np.concatenate([c.ravel() for _, c in blocks])
-        self.order = np.lexsort((self.rows, self.cols))
-        self.indices = self.rows[self.order].astype(np.int32)
-        counts = np.bincount(self.cols, minlength=self.n)
+        self.rows, self.cols = _five_point(ny, nx)
+        position = _mmd_position(ny, nx)
+        self.perm = np.argsort(position)
+        prow, pcol = position[self.rows], position[self.cols]
+        # column-major sort key; (row, col) pairs are unique
+        self.order = np.argsort(pcol * self.n + prow)
+        self.indices = prow[self.order].astype(np.int32)
+        counts = np.bincount(pcol, minlength=self.n)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
 
     def matrix(self, stencil, shift):
-        """CSC matrix of ``stencil`` plus ``shift`` on the diagonal."""
+        """Permuted CSC matrix of ``stencil`` plus ``shift`` on the diagonal."""
         vals = stencil.values()
         vals[: self.n] += shift
         return sp.csc_matrix(
@@ -108,11 +152,15 @@ class CavitySolver:
 
     The pressure-Poisson and temperature systems are factorized once at
     construction; the momentum systems change with the viscosity field
-    and are refactorized every step. Each momentum matrix is filled into
-    a CSC sparsity pattern fixed at construction (``1/dt`` added on its
-    diagonal), and every LU uses the ``MMD_AT_PLUS_A`` column ordering.
-    A momentum solve whose residual exceeds ``MOMENTUM_TOL`` relative to
-    its right-hand side raises :class:`NumericalError`.
+    and are refactorized every step. Every LU uses the ``MMD_AT_PLUS_A``
+    column ordering. For the momentum systems it is computed once per
+    grid shape and shared between solvers: each step's matrix is filled
+    into a CSC pattern already symmetrically permuted into that ordering
+    (``1/dt`` added on its diagonal) and factored in natural order with
+    single-column panels; the right-hand side is permuted in and the
+    solution out. A momentum solve whose residual exceeds
+    ``MOMENTUM_TOL`` relative to its right-hand side raises
+    :class:`NumericalError`.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -223,11 +271,12 @@ class CavitySolver:
         return _Stencil(diag, east, west, north, south)
 
     def _solve_component(self, stencil, pattern, old_interior, forcing, label):
+        """Solve the permuted system; returns the field in natural order."""
         dt = self.cfg.dt
         matrix = pattern.matrix(stencil, 1.0 / dt)
-        rhs = (old_interior / dt - stencil.apply(old_interior) + forcing).ravel()
+        rhs = (old_interior / dt - stencil.apply(old_interior) + forcing).ravel()[pattern.perm]
         try:
-            lu = spla.splu(matrix, permc_spec=_PERMC_SPEC)
+            lu = spla.splu(matrix, **_MOMENTUM_FACTOR)
         except RuntimeError as exc:
             raise NumericalError(f"{label}-momentum factorization failed: {exc}") from exc
         sol = lu.solve(rhs)
@@ -238,7 +287,9 @@ class CavitySolver:
                 f"{label}-momentum solve did not reach tolerance",
                 residual=float(residual / scale),
             )
-        return sol.reshape(old_interior.shape)
+        out = np.empty_like(sol)
+        out[pattern.perm] = sol
+        return out.reshape(old_interior.shape)
 
     def tentative_velocity(self, state: FlowState):
         """Implicit momentum predictor; returns (u_tent, v_tent).

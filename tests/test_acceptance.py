@@ -175,6 +175,7 @@ class TestCriterion3SigmoidOrdering:
 
 
 class TestCriterion4MushyVsPure:
+    @pytest.mark.slow
     def test_mushy_needs_at_most_half_the_modes(self, cavity_runs):
         mushy, pure, elapsed = cavity_runs
         mushy_count = count_at(weighted_state_spectrum(mushy))
@@ -193,6 +194,7 @@ class TestCriterion4MushyVsPure:
 
 
 class TestCriterion5ComponentSpectra:
+    @pytest.mark.slow
     def test_pressure_decays_fastest_in_pure_case(self, cavity_runs):
         _, pure, _ = cavity_runs
         counts = {
