@@ -19,8 +19,7 @@ import dataclasses
 import numpy as np
 
 from podsnap import StaggeredGrid2D, decompose, modes_for_energy
-from podsnap.pod import component_split
-from podsnap.snapshots import matrix_from_array
+from podsnap.pod import unit_energy_weighted
 from podsnap.solidify2d import default_mushy_config, default_pure_metal_config, run_case
 
 small_grid = StaggeredGrid2D(32, 32)
@@ -28,14 +27,6 @@ small_grid = StaggeredGrid2D(32, 32)
 
 def shrink(cfg):
     return dataclasses.replace(cfg, grid=small_grid, n_steps=600, snap_every=3)
-
-
-def weighted_modes(matrix, threshold=0.9999):
-    """Mode count on the full state with each field scaled to unit
-    energy, so velocity, pressure, and temperature weigh equally."""
-    blocks = [p.data / np.linalg.norm(p.data) for p in component_split(matrix).values()]
-    spectrum = decompose(matrix_from_array(np.vstack(blocks))).spectrum
-    return modes_for_energy(spectrum, threshold).modes_needed
 
 
 results = {}
@@ -50,7 +41,10 @@ for label, cfg in (
         frozen = np.mean(temp < cfg.viscosity.t_freeze)
         bar = "#" * int(40 * frozen)
         print(f"  t = {time:5.1f}  frozen {frozen:5.1%} |{bar:<40s}|")
-    results[label] = weighted_modes(matrix)
+    # each field scaled to unit energy, so velocity, pressure and
+    # temperature weigh equally
+    spectrum = decompose(unit_energy_weighted(matrix)).spectrum
+    results[label] = modes_for_energy(spectrum, 0.9999).modes_needed
     print(f"  modes for 99.99% energy (unit-weighted state): {results[label]}")
     print()
 

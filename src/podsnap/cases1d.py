@@ -33,49 +33,30 @@ STRETCHED_K = 15.0
 
 @dataclass(frozen=True)
 class InitialCondition1D:
-    """Rectangle pulse or directly sampled initial values.
+    """Rectangle pulse: ``height`` on ``[left, right]`` and zero outside.
 
-    The rectangle is ``height`` on ``[left, right]`` and zero outside;
-    its support must lie strictly inside the domain so the homogeneous
+    Its support must lie strictly inside the domain so the homogeneous
     Dirichlet boundary holds at t = 0.
     """
 
-    kind: str = "rectangle"
     left: float = 0.25
     right: float = 0.75
     height: float = 1.0
-    values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("rectangle", "custom"):
-            raise ArgumentError(f"unknown initial condition kind {self.kind!r}")
-        if self.kind == "rectangle":
-            if not (self.left < self.right):
-                raise ArgumentError("rectangle needs left < right")
-            if not np.isfinite(self.height):
-                raise DataError("rectangle height must be finite")
-        elif self.values is None:
-            raise ArgumentError("custom initial condition needs sampled values")
+        if not (self.left < self.right):
+            raise ArgumentError("rectangle needs left < right")
+        if not np.isfinite(self.height):
+            raise DataError("rectangle height must be finite")
 
     def sample(self, grid: Grid1D) -> np.ndarray:
-        x = grid.nodes()
-        if self.kind == "rectangle":
-            if not (grid.x_min < self.left and self.right < grid.x_max):
-                raise ArgumentError(
-                    f"rectangle [{self.left}, {self.right}] must lie strictly inside "
-                    f"({grid.x_min}, {grid.x_max})"
-                )
-            return np.where((x >= self.left) & (x <= self.right), self.height, 0.0)
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != x.shape:
+        if not (grid.x_min < self.left and self.right < grid.x_max):
             raise ArgumentError(
-                f"custom values have length {values.size}, grid has {x.size} nodes"
+                f"rectangle [{self.left}, {self.right}] must lie strictly inside "
+                f"({grid.x_min}, {grid.x_max})"
             )
-        if not np.all(np.isfinite(values)):
-            raise DataError("custom initial condition contains non-finite values")
-        if values[0] != 0.0 or values[-1] != 0.0:
-            raise DataError("custom initial condition must vanish on the boundary")
-        return values.copy()
+        x = grid.nodes()
+        return np.where((x >= self.left) & (x <= self.right), self.height, 0.0)
 
 
 @dataclass(frozen=True)

@@ -9,29 +9,20 @@ Verbs
 * ``repro`` -- the full desk-scale study in one invocation
 
 Every run echoes its fully resolved configuration to standard error.
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-error.
+Exit codes: 0 on success, otherwise as :mod:`podsnap.errors` states.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import pathlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, cases1d, pod
-from .errors import (
-    ArgumentError,
-    DataError,
-    DegenerateSpectrumError,
-    DimensionError,
-    FormatError,
-    NumericalError,
-    PodsnapError,
-    StabilityError,
-)
+from .errors import ArgumentError, PodsnapError
 from .grids import Grid1D
 from .snapshots import read_snap, write_snap
 from .solidify2d import (
@@ -44,18 +35,13 @@ from .solidify2d import (
 )
 from .solidify2d.configfile import config_text
 
-USAGE_EXIT = 1
-DATA_EXIT = 2
-NUMERICAL_EXIT = 3
-
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse whose usage failures raise :class:`ArgumentError`."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: (usage) {message}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
+        raise ArgumentError(message)
 
 
 def _echo_config(pairs) -> None:
@@ -75,9 +61,7 @@ def _check_distinct(inputs, outputs) -> None:
 # ----------------------------------------------------------------------
 def _cmd_gen_heat1d(args) -> None:
     grid = Grid1D(args.nodes, args.x_min, args.x_max)
-    ic = cases1d.InitialCondition1D(
-        kind="rectangle", left=args.ic_left, right=args.ic_right, height=args.ic_height
-    )
+    ic = cases1d.InitialCondition1D(left=args.ic_left, right=args.ic_right, height=args.ic_height)
     cfg = cases1d.Heat1DConfig(
         alpha=args.alpha, dt=args.dt, grid=grid, n_snaps=args.snapshots,
         ic=ic, scheme=args.scheme,
@@ -111,20 +95,20 @@ def _cmd_gen_sigmoid(args) -> None:
     )
 
 
+def _with_viscosity(cfg: SimConfig, kind: str) -> SimConfig:
+    return dataclasses.replace(cfg, viscosity=dataclasses.replace(cfg.viscosity, kind=kind))
+
+
 def _cavity_config(args) -> SimConfig:
     cfg = read_config(args.config)
-    overrides = {}
     if args.viscosity is not None:
-        overrides["viscosity"] = dataclasses.replace(cfg.viscosity, kind=args.viscosity)
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.n_steps is not None:
-        overrides["n_steps"] = args.n_steps
-    if args.snap_every is not None:
-        overrides["snap_every"] = args.snap_every
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+        cfg = _with_viscosity(cfg, args.viscosity)
+    overrides = {
+        name: getattr(args, name)
+        for name in ("dt", "n_steps", "snap_every")
+        if getattr(args, name) is not None
+    }
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _cmd_gen_cavity2d(args) -> None:
@@ -205,6 +189,13 @@ def _cmd_analyze(args) -> None:
 # ----------------------------------------------------------------------
 # repro
 # ----------------------------------------------------------------------
+_REPORTS = {
+    "1d": ("heat", "jump", "sigmoid_steep", "sigmoid_stretched"),
+    "2d": ("cavity_mushy", "cavity_pure"),
+    "components": tuple(f"cavity_pure_{comp}" for comp in "uvpT"),
+}
+
+
 def _cmd_repro(args) -> None:
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,17 +203,15 @@ def _cmd_repro(args) -> None:
         base = read_config(args.cavity_config)
     else:
         base = default_mushy_config()
-    mushy_cfg = dataclasses.replace(
-        base, viscosity=dataclasses.replace(base.viscosity, kind="mushy")
-    )
-    pure_cfg = dataclasses.replace(
-        base, viscosity=dataclasses.replace(base.viscosity, kind="sharp_jump")
-    )
+    cavity = {
+        f"cavity_{label}": _with_viscosity(base, kind)
+        for label, kind in (("mushy", "mushy"), ("pure", "sharp_jump"))
+    }
     _echo_config([("out_dir", str(out_dir)), ("cavity_config", args.cavity_config)])
-    for line in config_text(mushy_cfg).splitlines():
+    for line in config_text(cavity["cavity_mushy"]).splitlines():
         print(f"config: {line}", file=sys.stderr)
-    write_config(mushy_cfg, out_dir / "cavity_mushy.cfg")
-    write_config(pure_cfg, out_dir / "cavity_pure.cfg")
+    for name, cfg in cavity.items():
+        write_config(cfg, out_dir / f"{name}.cfg")
 
     grid = Grid1D(256)
     tasks = {
@@ -230,8 +219,7 @@ def _cmd_repro(args) -> None:
         "jump": lambda: cases1d.gen_advected_jump(grid, 128),
         "sigmoid_steep": lambda: cases1d.gen_sigmoid(grid, 128, k=cases1d.STEEP_K),
         "sigmoid_stretched": lambda: cases1d.gen_sigmoid(grid, 128, k=cases1d.STRETCHED_K),
-        "cavity_mushy": lambda: run_case(mushy_cfg),
-        "cavity_pure": lambda: run_case(pure_cfg),
+        **{name: functools.partial(run_case, cfg) for name, cfg in cavity.items()},
     }
     with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
         futures = {name: pool.submit(fn) for name, fn in tasks.items()}
@@ -239,38 +227,19 @@ def _cmd_repro(args) -> None:
     for name, matrix in matrices.items():
         write_snap(matrix, out_dir / f"{name}.snap")
 
-    spectra = {}
-    for name, matrix in matrices.items():
-        basis = pod.decompose(matrix)
-        spectra[name] = basis.spectrum
-        pod.write_spectrum_csv(basis.spectrum, out_dir / f"{name}.csv")
-    for name in ("cavity_mushy", "cavity_pure"):
+    parts = dict(matrices)
+    for name in cavity:
         for comp, sub in pod.component_split(matrices[name]).items():
-            sub_spectrum = pod.decompose(sub).spectrum
-            spectra[f"{name}_{comp}"] = sub_spectrum
-            pod.write_spectrum_csv(sub_spectrum, out_dir / f"{name}_{comp}.csv")
+            parts[f"{name}_{comp}"] = sub
+    spectra = {}
+    for name, matrix in parts.items():
+        spectra[name] = pod.decompose(matrix).spectrum
+        pod.write_spectrum_csv(spectra[name], out_dir / f"{name}.csv")
 
-    threshold = (0.9999,)
-    report_1d = analysis.compare(
-        [(n, spectra[n]) for n in ("heat", "jump", "sigmoid_steep", "sigmoid_stretched")],
-        threshold,
-    )
-    analysis.write_report_csv(report_1d, out_dir / "report_1d.csv")
-    analysis.write_verdicts_csv(report_1d, out_dir / "report_1d_verdicts.csv")
-    report_2d = analysis.compare(
-        [(n, spectra[n]) for n in ("cavity_mushy", "cavity_pure")], threshold
-    )
-    analysis.write_report_csv(report_2d, out_dir / "report_2d.csv")
-    analysis.write_verdicts_csv(report_2d, out_dir / "report_2d_verdicts.csv")
-    report_components = analysis.compare(
-        [
-            (n, spectra[n])
-            for n in ("cavity_pure_u", "cavity_pure_v", "cavity_pure_p", "cavity_pure_T")
-        ],
-        threshold,
-    )
-    analysis.write_report_csv(report_components, out_dir / "report_components.csv")
-    analysis.write_verdicts_csv(report_components, out_dir / "report_components_verdicts.csv")
+    for label, names in _REPORTS.items():
+        report = analysis.compare([(n, spectra[n]) for n in names], (0.9999,))
+        analysis.write_report_csv(report, out_dir / f"report_{label}.csv")
+        analysis.write_verdicts_csv(report, out_dir / f"report_{label}_verdicts.csv")
     print(f"repro artifacts written to {out_dir}", file=sys.stderr)
 
 
@@ -361,28 +330,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    try:
+        args = build_parser().parse_args(argv)
         args.handler(args)
-    except ArgumentError as exc:
-        print(f"error: (usage) {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (DataError, DimensionError, FormatError, DegenerateSpectrumError) as exc:
-        print(f"error: (data) {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except (NumericalError, StabilityError) as exc:
-        print(f"error: (numerical) {exc}", file=sys.stderr)
-        return NUMERICAL_EXIT
-    except PodsnapError as exc:
-        print(f"error: (data) {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except OSError as exc:
-        print(f"error: (data) {exc}", file=sys.stderr)
-        return DATA_EXIT
+    except SystemExit as exc:  # --help
+        return exc.code
+    except (PodsnapError, OSError) as exc:
+        label, code = getattr(exc, "exit_status", PodsnapError.exit_status)
+        print(f"error: ({label}) {exc}", file=sys.stderr)
+        return code
     return 0
 
 

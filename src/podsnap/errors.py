@@ -1,16 +1,21 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: argument problems exit 1, data and
-file-format problems exit 2, numerical failures exit 3.
+file-format problems exit 2, numerical failures exit 3. Each class
+carries its ``(label, exit code)`` pair as ``exit_status``.
 """
 
 
 class PodsnapError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_status = ("data", 2)
+
 
 class ArgumentError(PodsnapError, ValueError):
     """Invalid argument or configuration value."""
+
+    exit_status = ("usage", 1)
 
 
 class DimensionError(PodsnapError, ValueError):
@@ -37,6 +42,8 @@ class FormatError(PodsnapError, ValueError):
 class NumericalError(PodsnapError, RuntimeError):
     """A numerical method failed to converge or produced invalid results."""
 
+    exit_status = ("numerical", 3)
+
     def __init__(self, message, iterations=None, residual=None):
         parts = [message]
         if iterations is not None:
@@ -50,6 +57,8 @@ class NumericalError(PodsnapError, RuntimeError):
 
 class StabilityError(PodsnapError, RuntimeError):
     """A timestep violates the stability bound of the chosen scheme."""
+
+    exit_status = ("numerical", 3)
 
 
 class DegenerateSpectrumError(PodsnapError, ValueError):

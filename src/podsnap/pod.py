@@ -227,6 +227,22 @@ def component_split(m: SnapshotMatrix) -> dict[str, SnapshotMatrix]:
     return out
 
 
+def unit_energy_weighted(m: SnapshotMatrix) -> SnapshotMatrix:
+    """Scale each field block to unit Frobenius norm, so fields in mixed
+    units (velocity, pressure, temperature) weigh equally in the POD.
+
+    Layout and column labels are kept. An all-zero block has no scale
+    and raises :class:`DataError`.
+    """
+    blocks = []
+    for name, sub in component_split(m).items():
+        norm = np.linalg.norm(sub.data)
+        if norm == 0.0:
+            raise DataError(f"field {name!r} is all zero and cannot be scaled to unit energy")
+        blocks.append(sub.data / norm)
+    return SnapshotMatrix(np.vstack(blocks), m.layout, m.column_labels)
+
+
 def write_spectrum_csv(s: PodSpectrum, path) -> None:
     """Export ``index,sigma,sigma_norm,cumulative_energy`` rows.
 

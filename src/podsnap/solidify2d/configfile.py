@@ -1,16 +1,10 @@
 """Plain-text configuration files for the 2D cavity cases.
 
-``key = value`` lines grouped under bracketed section headers; the five
-sections and their keys map one-to-one onto :class:`SimConfig`:
-
-* ``[grid]`` nx, ny, lx, ly
-* ``[time]`` dt, n_steps, inner_iterations
-* ``[material]`` viscosity_model (mushy | sharp_jump), mu_liquid,
-  t_freeze, jump_factor, mu_cap, thermal_diffusivity, buoyancy_coeff,
-  t_ref, initial_temp
-* ``[boundary]`` right_wall (robin | dirichlet), h, t_ambient, t_cold,
-  wall_tangential (no_slip | free_slip)
-* ``[output]`` snap_every
+``key = value`` lines grouped under bracketed section headers.
+:data:`_SCHEMA` is the whole format: it maps each section's keys onto
+(dotted) :class:`SimConfig` field paths, and parsing, validation and
+:func:`config_text` are all derived from it. A value is read as an
+``int`` or ``str`` when its field is declared so, otherwise as a float.
 
 Every key is optional (defaults apply); unknown sections or keys are
 format errors.
@@ -19,38 +13,54 @@ format errors.
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import functools
+import typing
 
 from ..errors import FormatError
-from ..grids import StaggeredGrid2D
-from .model import CoolingWall, SimConfig, ViscosityModel
-
-_INT_KEYS = {"nx", "ny", "n_steps", "inner_iterations", "snap_every"}
-_STR_KEYS = {"viscosity_model", "right_wall", "wall_tangential"}
+from .model import SimConfig
 
 _SCHEMA = {
-    "grid": ("nx", "ny", "lx", "ly"),
-    "time": ("dt", "n_steps", "inner_iterations"),
-    "material": (
-        "viscosity_model",
-        "mu_liquid",
-        "t_freeze",
-        "jump_factor",
-        "mu_cap",
-        "thermal_diffusivity",
-        "buoyancy_coeff",
-        "t_ref",
-        "initial_temp",
-    ),
-    "boundary": ("right_wall", "h", "t_ambient", "t_cold", "wall_tangential"),
-    "output": ("snap_every",),
+    "grid": {"nx": "grid.nx", "ny": "grid.ny", "lx": "grid.lx", "ly": "grid.ly"},
+    "time": {"dt": "dt", "n_steps": "n_steps"},
+    "material": {
+        "viscosity_model": "viscosity.kind",
+        "mu_liquid": "viscosity.mu_liquid",
+        "t_freeze": "viscosity.t_freeze",
+        "jump_factor": "viscosity.jump_factor",
+        "mu_cap": "viscosity.mu_cap",
+        "thermal_diffusivity": "thermal_diffusivity",
+        "buoyancy_coeff": "buoyancy_coeff",
+        "t_ref": "t_ref",
+        "initial_temp": "initial_temp",
+    },
+    "boundary": {
+        "right_wall": "right_wall.kind",
+        "h": "right_wall.h",
+        "t_ambient": "right_wall.t_ambient",
+        "t_cold": "right_wall.t_cold",
+        "wall_tangential": "wall_tangential",
+    },
+    "output": {"snap_every": "snap_every"},
 }
+
+
+def _converter(path: str):
+    field_type = SimConfig
+    for name in path.split("."):
+        field_type = typing.get_type_hints(field_type)[name]
+    return {int: int, str: str}.get(field_type, float)
+
+
+_CONVERT = {path: _converter(path) for keys in _SCHEMA.values() for path in keys.values()}
 
 
 def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
     """Build a :class:`SimConfig` from config-file text.
 
     Values override the corresponding fields of ``base`` (package
-    defaults when omitted).
+    defaults when omitted). All overrides are applied together, so
+    cross-field checks see the final values.
     """
     parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     try:
@@ -58,59 +68,29 @@ def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
     except configparser.Error as exc:
         raise FormatError(f"malformed config file: {exc}") from exc
 
-    values: dict[str, object] = {}
+    # nested dataclass name ("" for SimConfig itself) -> field -> value
+    overrides: dict[str, dict[str, object]] = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise FormatError(
                 f"unknown section [{section}]; expected one of {sorted(_SCHEMA)}"
             )
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            path = _SCHEMA[section].get(key)
+            if path is None:
                 raise FormatError(f"unknown key {key!r} in section [{section}]")
             try:
-                if key in _STR_KEYS:
-                    values[key] = raw.strip()
-                elif key in _INT_KEYS:
-                    values[key] = int(raw)
-                else:
-                    values[key] = float(raw)
+                value = _CONVERT[path](raw)
             except ValueError as exc:
                 raise FormatError(f"bad value for {key!r}: {raw!r}") from exc
+            owner, _, name = path.rpartition(".")
+            overrides.setdefault(owner, {})[name] = value
 
     base = SimConfig() if base is None else base
-    grid = StaggeredGrid2D(
-        nx=int(values.get("nx", base.grid.nx)),
-        ny=int(values.get("ny", base.grid.ny)),
-        lx=float(values.get("lx", base.grid.lx)),
-        ly=float(values.get("ly", base.grid.ly)),
-    )
-    viscosity = ViscosityModel(
-        kind=str(values.get("viscosity_model", base.viscosity.kind)),
-        mu_liquid=float(values.get("mu_liquid", base.viscosity.mu_liquid)),
-        t_freeze=float(values.get("t_freeze", base.viscosity.t_freeze)),
-        jump_factor=float(values.get("jump_factor", base.viscosity.jump_factor)),
-        mu_cap=float(values["mu_cap"]) if "mu_cap" in values else base.viscosity.mu_cap,
-    )
-    wall = CoolingWall(
-        kind=str(values.get("right_wall", base.right_wall.kind)),
-        h=float(values.get("h", base.right_wall.h)),
-        t_ambient=float(values.get("t_ambient", base.right_wall.t_ambient)),
-        t_cold=float(values.get("t_cold", base.right_wall.t_cold)),
-    )
-    return SimConfig(
-        grid=grid,
-        dt=float(values.get("dt", base.dt)),
-        n_steps=int(values.get("n_steps", base.n_steps)),
-        snap_every=int(values.get("snap_every", base.snap_every)),
-        viscosity=viscosity,
-        buoyancy_coeff=float(values.get("buoyancy_coeff", base.buoyancy_coeff)),
-        t_ref=float(values.get("t_ref", base.t_ref)),
-        thermal_diffusivity=float(values.get("thermal_diffusivity", base.thermal_diffusivity)),
-        initial_temp=float(values.get("initial_temp", base.initial_temp)),
-        right_wall=wall,
-        inner_iterations=int(values.get("inner_iterations", base.inner_iterations)),
-        wall_tangential=str(values.get("wall_tangential", base.wall_tangential)),
-    )
+    top = overrides.pop("", {})
+    for owner, values in overrides.items():
+        top[owner] = dataclasses.replace(getattr(base, owner), **values)
+    return dataclasses.replace(base, **top)
 
 
 def read_config(path, base: SimConfig | None = None) -> SimConfig:
@@ -125,38 +105,10 @@ def write_config(cfg: SimConfig, path) -> None:
 
 
 def config_text(cfg: SimConfig) -> str:
-    lines = [
-        "[grid]",
-        f"nx = {cfg.grid.nx}",
-        f"ny = {cfg.grid.ny}",
-        f"lx = {cfg.grid.lx!r}",
-        f"ly = {cfg.grid.ly!r}",
-        "",
-        "[time]",
-        f"dt = {cfg.dt!r}",
-        f"n_steps = {cfg.n_steps}",
-        f"inner_iterations = {cfg.inner_iterations}",
-        "",
-        "[material]",
-        f"viscosity_model = {cfg.viscosity.kind}",
-        f"mu_liquid = {cfg.viscosity.mu_liquid!r}",
-        f"t_freeze = {cfg.viscosity.t_freeze!r}",
-        f"jump_factor = {cfg.viscosity.jump_factor!r}",
-        f"mu_cap = {cfg.viscosity.mu_cap!r}",
-        f"thermal_diffusivity = {cfg.thermal_diffusivity!r}",
-        f"buoyancy_coeff = {cfg.buoyancy_coeff!r}",
-        f"t_ref = {cfg.t_ref!r}",
-        f"initial_temp = {cfg.initial_temp!r}",
-        "",
-        "[boundary]",
-        f"right_wall = {cfg.right_wall.kind}",
-        f"h = {cfg.right_wall.h!r}",
-        f"t_ambient = {cfg.right_wall.t_ambient!r}",
-        f"t_cold = {cfg.right_wall.t_cold!r}",
-        f"wall_tangential = {cfg.wall_tangential}",
-        "",
-        "[output]",
-        f"snap_every = {cfg.snap_every}",
-        "",
-    ]
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key, path in keys.items():
+            lines.append(f"{key} = {functools.reduce(getattr, path.split('.'), cfg)}")
+        lines.append("")
     return "\n".join(lines)

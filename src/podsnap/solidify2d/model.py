@@ -104,7 +104,6 @@ class SimConfig:
     thermal_diffusivity: float = 1e-2
     initial_temp: float = 700.0
     right_wall: CoolingWall = field(default_factory=CoolingWall)
-    inner_iterations: int = 1
     wall_tangential: str = "no_slip"
 
     def __post_init__(self):
@@ -117,8 +116,6 @@ class SimConfig:
                 f"snap_every = {self.snap_every} exceeds n_steps = {self.n_steps}; "
                 "the run would collect no snapshots"
             )
-        if self.inner_iterations < 1:
-            raise ArgumentError("inner_iterations must be at least 1")
         if self.buoyancy_coeff <= 0 or self.thermal_diffusivity <= 0:
             raise ArgumentError("physical coefficients must be positive")
         if self.initial_temp <= self.viscosity.t_freeze:

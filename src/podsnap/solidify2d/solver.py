@@ -426,17 +426,8 @@ class CavitySolver:
 
     def step(self, state: FlowState) -> FlowState:
         """One full time step; returns the next state."""
-        cfg = self.cfg
-        work = state
-        for inner in range(cfg.inner_iterations):
-            u_tent, v_tent = self.tentative_velocity(work)
-            phi = self.pressure_correction(u_tent, v_tent)
-            if inner < cfg.inner_iterations - 1:
-                work = FlowState(
-                    u=work.u, v=work.v, p_star=work.p_star + phi, phi=phi,
-                    temp=work.temp, u_prev=work.u_prev, v_prev=work.v_prev,
-                    time=work.time, step=work.step,
-                )
+        u_tent, v_tent = self.tentative_velocity(state)
+        phi = self.pressure_correction(u_tent, v_tent)
         u_new, v_new = self.velocity_update(u_tent, v_tent, phi)
         self._check_projected(u_new, v_new)
         self.check_cfl(u_new, v_new)
@@ -444,12 +435,12 @@ class CavitySolver:
         return FlowState(
             u=u_new,
             v=v_new,
-            p_star=work.p_star + phi,
+            p_star=state.p_star + phi,
             phi=phi,
             temp=temp_new,
             u_prev=state.u,
             v_prev=state.v,
-            time=state.time + cfg.dt,
+            time=state.time + self.cfg.dt,
             step=state.step + 1,
         )
 

@@ -47,7 +47,14 @@ import pytest
 from podsnap.analysis import fit_decay
 from podsnap.cases1d import Heat1DConfig, solve_heat1d
 from podsnap.grids import StaggeredGrid2D
-from podsnap.pod import PodSpectrum, decompose, component_split, modes_for_energy, truncate
+from podsnap.pod import (
+    PodSpectrum,
+    component_split,
+    decompose,
+    modes_for_energy,
+    truncate,
+    unit_energy_weighted,
+)
 from podsnap.snapshots import matrix_from_array
 from podsnap.solidify2d import (
     CavitySolver,
@@ -80,16 +87,6 @@ def tail_energy_slope(spectrum, fit_range=(4, 64)):
     n = np.arange(fit_range[0], fit_range[1] + 1)
     e = np.sqrt(tail[n] / tail[0])
     return np.polyfit(np.log(n), np.log(e), 1)[0]
-
-
-def weighted_state_spectrum(matrix):
-    """Spectrum of the full state with each field block scaled to unit
-    energy (the standard mixed-units POD weighting)."""
-    blocks = [
-        part.data / np.linalg.norm(part.data)
-        for part in component_split(matrix).values()
-    ]
-    return decompose(matrix_from_array(np.vstack(blocks))).spectrum
 
 
 @pytest.fixture(scope="module")
@@ -178,8 +175,8 @@ class TestCriterion4MushyVsPure:
     @pytest.mark.slow
     def test_mushy_needs_at_most_half_the_modes(self, cavity_runs):
         mushy, pure, elapsed = cavity_runs
-        mushy_count = count_at(weighted_state_spectrum(mushy))
-        pure_count = count_at(weighted_state_spectrum(pure))
+        mushy_count = count_at(decompose(unit_energy_weighted(mushy)).spectrum)
+        pure_count = count_at(decompose(unit_energy_weighted(pure)).spectrum)
         raw_mushy = count_at(decompose(mushy).spectrum)
         raw_pure = count_at(decompose(pure).spectrum)
         criterion(

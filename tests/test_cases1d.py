@@ -85,21 +85,6 @@ class TestHeatSolver:
         with pytest.raises(ArgumentError):
             solve_heat1d(Heat1DConfig(ic=InitialCondition1D(left=-0.1, right=0.5)))
 
-    def test_custom_ic_must_vanish_on_boundary(self):
-        grid = Grid1D(8)
-        values = np.ones(8)
-        with pytest.raises(DataError):
-            solve_heat1d(
-                Heat1DConfig(grid=grid, ic=InitialCondition1D(kind="custom", values=values))
-            )
-
-    def test_custom_ic_used_verbatim(self):
-        grid = Grid1D(8)
-        values = np.array([0.0, 1.0, 2.0, 3.0, 3.0, 2.0, 1.0, 0.0])
-        cfg = Heat1DConfig(grid=grid, ic=InitialCondition1D(kind="custom", values=values))
-        m = solve_heat1d(cfg)
-        assert np.array_equal(m.data[:, 0], values)
-
 
 class TestAdvectedJump:
     def test_front_condition_at_node(self):

@@ -15,6 +15,7 @@ from podsnap.pod import (
     normalized_spectrum,
     read_spectrum_csv,
     truncate,
+    unit_energy_weighted,
     write_spectrum_csv,
 )
 from podsnap.snapshots import FieldLayout, SnapshotMatrix, matrix_from_array
@@ -207,6 +208,31 @@ class TestComponentSplit:
         for part in component_split(m).values():
             sigma_sub = np.linalg.svd(part.data, compute_uv=False)[0]
             assert sigma_sub <= sigma_full * (1 + 1e-12)
+
+
+class TestUnitEnergyWeighted:
+    def test_blocks_scaled_to_unit_norm_keeping_layout(self):
+        rng = np.random.default_rng(19)
+        layout = FieldLayout.from_sizes([("u", 5), ("p", 3), ("T", 4)])
+        data = rng.normal(size=(12, 6)) * np.repeat([1e-3, 1.0, 700.0], [5, 3, 4])[:, None]
+        m = SnapshotMatrix(data, layout, np.linspace(0.5, 3.0, 6))
+        weighted = unit_energy_weighted(m)
+        assert weighted.layout == m.layout
+        assert np.array_equal(weighted.column_labels, m.column_labels)
+        for name in layout.names:
+            block, original = weighted.field(name), m.field(name)
+            assert np.linalg.norm(block) == pytest.approx(1.0, rel=1e-12)
+            np.testing.assert_allclose(
+                block * np.linalg.norm(original), original, rtol=1e-12, atol=0
+            )
+
+    def test_all_zero_block_names_the_field(self):
+        layout = FieldLayout.from_sizes([("u", 4), ("p", 4)])
+        data = np.zeros((8, 3))
+        data[:4, :] = np.random.default_rng(0).normal(size=(4, 3))
+        m = SnapshotMatrix(data, layout, [0.0, 1.0, 2.0])
+        with pytest.raises(DataError, match="'p'"):
+            unit_energy_weighted(m)
 
 
 class TestProperties:

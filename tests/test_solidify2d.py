@@ -2,6 +2,7 @@
 
 import dataclasses
 import types
+import typing
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from podsnap.solidify2d import (
     write_config,
 )
 from podsnap.solidify2d import solver as solver_module
-from podsnap.solidify2d.configfile import config_text
+from podsnap.solidify2d.configfile import _SCHEMA, config_text
 
 
 def small_config(**overrides):
@@ -458,12 +459,6 @@ class TestStepping:
         assert np.sum(mu > 100.0 * cfg.viscosity.mu_liquid) > 0
         assert np.sum(mu == cfg.viscosity.mu_liquid) > 0
 
-    def test_inner_iterations_accepted(self):
-        cfg = small_config(inner_iterations=3, n_steps=6, snap_every=3,
-                           initial_temp=700.0, t_ref=680.0)
-        m = run_case(cfg)
-        assert m.n_snaps == 2
-
     def test_mushy_and_pure_differ_only_in_viscosity(self):
         mushy = default_mushy_config()
         assert dataclasses.replace(
@@ -543,7 +538,7 @@ class TestConfigFile:
             buoyancy_coeff=2.5, t_ref=690.0, thermal_diffusivity=0.02,
             initial_temp=705.0,
             right_wall=CoolingWall(kind="dirichlet", t_cold=560.0),
-            inner_iterations=2, wall_tangential="free_slip",
+            wall_tangential="free_slip",
         )
         path = tmp_path / "case.cfg"
         write_config(cfg, path)
@@ -575,6 +570,33 @@ class TestConfigFile:
         text = config_text(SimConfig())
         for section in ("[grid]", "[time]", "[material]", "[boundary]", "[output]"):
             assert section in text
+
+    def test_schema_covers_every_leaf_field(self):
+        def leaves(cls, prefix=""):
+            hints = typing.get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                if dataclasses.is_dataclass(hints[f.name]):
+                    yield from leaves(hints[f.name], f"{prefix}{f.name}.")
+                else:
+                    yield prefix + f.name
+
+        paths = [path for keys in _SCHEMA.values() for path in keys.values()]
+        assert len(paths) == len(set(paths))
+        assert set(paths) == set(leaves(SimConfig))
+
+    @pytest.mark.parametrize("lines", [
+        "t_freeze = 600\ninitial_temp = 640\n", "initial_temp = 640\nt_freeze = 600\n",
+    ])
+    def test_cross_field_checks_see_final_values(self, lines):
+        # 640 is below the default 650 freezing point: applied alone, before
+        # t_freeze, initial_temp would be rejected
+        cfg = parse_config_text("[material]\n" + lines)
+        assert cfg.viscosity.t_freeze == 600.0
+        assert cfg.initial_temp == 640.0
+
+    def test_inner_iterations_key_rejected(self):
+        with pytest.raises(FormatError, match="inner_iterations"):
+            parse_config_text("[time]\ninner_iterations = 1\n")
 
 
 class TestConfigValidation:
