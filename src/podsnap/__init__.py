@@ -6,7 +6,7 @@ and quantify spectral decay with :mod:`podsnap.analysis`. Matrices
 persist in the SNAP1 binary format; spectra and reports export as CSV.
 """
 
-from . import analysis, cases1d, cli, errors, grids, pod, snapshots, solidify2d
+from . import analysis, cases1d, errors, grids, pod, snapshots, solidify2d
 from .grids import Grid1D, StaggeredGrid2D
 from .pod import (
     EnergyReport,
@@ -33,7 +33,6 @@ __all__ = [
     "analysis",
     "assemble",
     "cases1d",
-    "cli",
     "component_split",
     "decompose",
     "errors",

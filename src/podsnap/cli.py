@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
+import multiprocessing
 import pathlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from . import analysis, cases1d, pod
 from .errors import ArgumentError, PodsnapError
 from .grids import Grid1D
-from .snapshots import read_snap, write_snap
+from .snapshots import SnapshotMatrix, read_snap, write_snap
 from .solidify2d import (
     SimConfig,
     default_mushy_config,
@@ -195,6 +195,18 @@ _REPORTS = {
     "components": tuple(f"cavity_pure_{comp}" for comp in "uvpT"),
 }
 
+# The two cavity cases run no faster on two threads than one after the
+# other, so they run in worker processes. ``fork`` starts a worker without
+# re-importing numpy/scipy (``forkserver`` and ``spawn`` gain nothing);
+# other platforms keep their default start method.
+_CAVITY_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+
+
+def _generate_cavity(cfg: SimConfig) -> SnapshotMatrix:
+    """One cavity case in a worker process. Workers receive this function
+    by name and look ``run_case`` up when they call it."""
+    return run_case(cfg)
+
 
 def _cmd_repro(args) -> None:
     out_dir = pathlib.Path(args.out_dir)
@@ -219,11 +231,15 @@ def _cmd_repro(args) -> None:
         "jump": lambda: cases1d.gen_advected_jump(grid, 128),
         "sigmoid_steep": lambda: cases1d.gen_sigmoid(grid, 128, k=cases1d.STEEP_K),
         "sigmoid_stretched": lambda: cases1d.gen_sigmoid(grid, 128, k=cases1d.STRETCHED_K),
-        **{name: functools.partial(run_case, cfg) for name, cfg in cavity.items()},
     }
-    with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
-        futures = {name: pool.submit(fn) for name, fn in tasks.items()}
-        matrices = {name: fut.result() for name, fut in futures.items()}
+    # The process pool forks all its workers at the first submit; submitting
+    # both cavity cases before the thread pool exists means no other thread
+    # is running when the process forks.
+    with ProcessPoolExecutor(max_workers=len(cavity), mp_context=_CAVITY_CONTEXT) as procs:
+        in_workers = {name: procs.submit(_generate_cavity, cfg) for name, cfg in cavity.items()}
+        with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
+            futures = {name: pool.submit(fn) for name, fn in tasks.items()} | in_workers
+            matrices = {name: fut.result() for name, fut in futures.items()}
     for name, matrix in matrices.items():
         write_snap(matrix, out_dir / f"{name}.snap")
 

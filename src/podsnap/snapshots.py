@@ -124,6 +124,10 @@ class SnapshotMatrix:
         """Rows of the named layout segment (read-only view)."""
         return self.data[self.layout.rows(name), :]
 
+    def __reduce__(self):
+        # rebuild through the constructor, so the arrays come back read-only
+        return (SnapshotMatrix, (self.data, self.layout, self.column_labels))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SnapshotMatrix):
             return NotImplemented

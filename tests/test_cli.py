@@ -1,9 +1,23 @@
 """CLI verbs, exit codes, determinism, and the repro pipeline."""
 
+import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 
+import podsnap
 from podsnap.cli import main
 from podsnap.snapshots import read_snap
+from podsnap.solidify2d import read_config, run_case
+
+TINY_CAVITY = (
+    "[grid]\nnx = 10\nny = 10\n"
+    "[time]\ndt = 0.02\nn_steps = 30\n"
+    "[output]\nsnap_every = 3\n"
+)
 
 
 def run_cli(*argv):
@@ -153,15 +167,20 @@ class TestExitCodes:
         assert "--steepness" in out
         assert "default: 100.0" in out
 
+    def test_module_entry_point_runs_once_without_warning(self):
+        src = str(pathlib.Path(podsnap.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "podsnap.cli", "--help"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
+
 
 class TestRepro:
     def test_full_pipeline_desk_scale_shrunk(self, tmp_path):
         cfg_path = tmp_path / "tiny.cfg"
-        cfg_path.write_text(
-            "[grid]\nnx = 10\nny = 10\n"
-            "[time]\ndt = 0.02\nn_steps = 30\n"
-            "[output]\nsnap_every = 3\n"
-        )
+        cfg_path.write_text(TINY_CAVITY)
         out_dir = tmp_path / "study"
         code = run_cli("repro", "--out-dir", str(out_dir), "--cavity-config", str(cfg_path))
         assert code == 0
@@ -180,3 +199,25 @@ class TestRepro:
         rows = [r.split(",") for r in (out_dir / "report_1d.csv").read_text().splitlines()[1:]]
         counts = {r[0]: int(r[2]) for r in rows}
         assert counts["heat"] <= min(counts.values())
+
+    def test_worker_cavity_output_equals_in_process_run(self, tmp_path):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_CAVITY)
+        out_dir = tmp_path / "study"
+        assert run_cli("repro", "--out-dir", str(out_dir), "--cavity-config", str(cfg_path)) == 0
+        base = read_config(cfg_path)
+        for label, kind in (("mushy", "mushy"), ("pure", "sharp_jump")):
+            cfg = dataclasses.replace(
+                base, viscosity=dataclasses.replace(base.viscosity, kind=kind))
+            assert read_snap(out_dir / f"cavity_{label}.snap") == run_case(cfg)
+
+    def test_worker_error_keeps_exit_code_and_message(self, tmp_path, capsys):
+        cfg_path = tmp_path / "unstable.cfg"
+        cfg_path.write_text("[grid]\nnx = 16\nny = 16\n[time]\ndt = 5.0\n")
+        code = run_cli("repro", "--out-dir", str(tmp_path / "study"),
+                       "--cavity-config", str(cfg_path))
+        assert code == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: (numerical) aborted at step 2 (t = 10): advective CFL number 9.272 "
+            "exceeds 1; reduce dt below 5.393e-01"
+        )

@@ -1,5 +1,7 @@
 """Snapshot matrix assembly, layouts, and SNAP1 file round trips."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,14 @@ class TestSnapFile:
         back = read_snap(path)
         assert back == m
         assert back.layout.names == ("u", "v", "p")
+
+    def test_pickle_round_trip_stays_read_only(self):
+        layout = FieldLayout.from_sizes([("u", 3), ("p", 2)])
+        m = SnapshotMatrix(np.arange(10.0).reshape(5, 2), layout, [0.5, 1.0])
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m
+        assert not back.data.flags.writeable
+        assert not back.column_labels.flags.writeable
 
     def test_file_size_matches_format(self, tmp_path):
         # header: 8 magic + 12 counts + (2 + len("u") + 8) per segment,
