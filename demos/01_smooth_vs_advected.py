@@ -11,6 +11,9 @@ energy criterion keeps asking for more modes.
 Run:  python demos/01_smooth_vs_advected.py
 """
 
+import os
+import tempfile
+
 from podsnap import Grid1D, decompose, modes_for_energy, normalized_spectrum
 from podsnap.cases1d import Heat1DConfig, gen_advected_jump, solve_heat1d
 from podsnap.snapshots import read_snap, write_snap
@@ -20,8 +23,10 @@ heat = solve_heat1d(Heat1DConfig())
 jump = gen_advected_jump(Grid1D(256), 128)
 
 # Snapshot matrices persist in the SNAP1 binary format, bit-exactly.
-write_snap(heat, "/tmp/heat_demo.snap")
-assert read_snap("/tmp/heat_demo.snap") == heat
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "heat_demo.snap")
+    write_snap(heat, path)
+    assert read_snap(path) == heat
 
 print("case        sigma_n / sigma_1 at n = 1, 5, 10, 20, 40")
 for name, matrix in (("heat", heat), ("jump", jump)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateSpectrumError
-from .pod import PodSpectrum, modes_for_energy, normalized_spectrum
+from .pod import PodSpectrum, modes_for_energy
 
 # Entries below NOISE_FLOOR * sigma_1 sit in round-off and are excluded
 # from fits; the effective fit range is reported in the result.
@@ -80,7 +80,6 @@ class CaseSummary:
 
     name: str
     modes_needed: dict[float, int]
-    normalized: np.ndarray
     loglog_fit: DecayFit | None
     semilog_fit: DecayFit | None
 
@@ -127,9 +126,7 @@ def compare(named_spectra, thresholds=(0.9999,), fit_range=DEFAULT_FIT_RANGE) ->
                 fits[model] = fit_decay(spectrum, model, fit_range)
             except DegenerateSpectrumError:
                 fits[model] = None
-        cases.append(
-            CaseSummary(name, needed, normalized_spectrum(spectrum), fits["loglog"], fits["semilog"])
-        )
+        cases.append(CaseSummary(name, needed, fits["loglog"], fits["semilog"]))
         counts[name] = needed
 
     verdicts = []

@@ -124,13 +124,10 @@ def _cmd_gen_cavity2d(args) -> None:
 # ----------------------------------------------------------------------
 # decomposition and analysis verbs
 # ----------------------------------------------------------------------
-def _component_paths(out_path) -> "callable":
-    out = pathlib.Path(out_path)
-
-    def for_name(name: str) -> pathlib.Path:
-        return out.with_name(f"{out.stem}_{name}{out.suffix or '.csv'}")
-
-    return for_name
+def _sibling(path, name) -> str:
+    """``<stem>_<name><suffix or .csv>`` beside ``path``."""
+    path = pathlib.Path(path)
+    return str(path.with_name(f"{path.stem}_{name}{path.suffix or '.csv'}"))
 
 
 def _cmd_pod(args) -> None:
@@ -143,30 +140,24 @@ def _cmd_pod(args) -> None:
     )
     matrix = read_snap(args.in_path)
     if args.components == "combined":
-        basis = pod.decompose(matrix, method=args.method)
-        pod.write_spectrum_csv(basis.spectrum, args.out)
-        return
-    if args.components == "all":
-        basis = pod.decompose(matrix, method=args.method)
-        pod.write_spectrum_csv(basis.spectrum, args.out)
-        name_path = _component_paths(args.out)
-        for name, sub in pod.component_split(matrix).items():
-            sub_basis = pod.decompose(sub, method=args.method)
-            pod.write_spectrum_csv(sub_basis.spectrum, name_path(name))
-        return
-    if args.components not in matrix.layout.names:
+        outputs = {args.out: matrix}
+    elif args.components == "all":
+        split = pod.component_split(matrix)
+        outputs = {args.out: matrix, **{_sibling(args.out, n): m for n, m in split.items()}}
+    elif args.components in matrix.layout.names:
+        outputs = {args.out: pod.component_split(matrix)[args.components]}
+    else:
         raise ArgumentError(
             f"component {args.components!r} not in layout {matrix.layout.names}"
         )
-    sub = pod.component_split(matrix)[args.components]
-    pod.write_spectrum_csv(pod.decompose(sub, method=args.method).spectrum, args.out)
+    for path, m in outputs.items():
+        pod.write_spectrum_csv(pod.decompose(m, method=args.method).spectrum, path)
 
 
 def _cmd_analyze(args) -> None:
     verdicts_out = args.verdicts_out
     if verdicts_out is None:
-        out = pathlib.Path(args.out)
-        verdicts_out = str(out.with_name(f"{out.stem}_verdicts{out.suffix or '.csv'}"))
+        verdicts_out = _sibling(args.out, "verdicts")
     _check_distinct(args.in_paths, [args.out, verdicts_out])
     thresholds = args.threshold or [0.9999]
     _echo_config(

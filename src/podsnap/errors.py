@@ -44,14 +44,10 @@ class NumericalError(PodsnapError, RuntimeError):
 
     exit_status = ("numerical", 3)
 
-    def __init__(self, message, iterations=None, residual=None):
-        parts = [message]
-        if iterations is not None:
-            parts.append(f"iterations={iterations}")
+    def __init__(self, message, residual=None):
         if residual is not None:
-            parts.append(f"residual={residual:.3e}")
-        super().__init__("; ".join(parts))
-        self.iterations = iterations
+            message = f"{message}; residual={residual:.3e}"
+        super().__init__(message)
         self.residual = residual
 
 

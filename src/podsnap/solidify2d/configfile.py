@@ -55,12 +55,12 @@ def _converter(path: str):
 _CONVERT = {path: _converter(path) for keys in _SCHEMA.values() for path in keys.values()}
 
 
-def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
+def parse_config_text(text: str) -> SimConfig:
     """Build a :class:`SimConfig` from config-file text.
 
-    Values override the corresponding fields of ``base`` (package
-    defaults when omitted). All overrides are applied together, so
-    cross-field checks see the final values.
+    Values override the package defaults of :class:`SimConfig`. All
+    overrides are applied together, so cross-field checks see the final
+    values.
     """
     parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     try:
@@ -86,16 +86,16 @@ def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
             owner, _, name = path.rpartition(".")
             overrides.setdefault(owner, {})[name] = value
 
-    base = SimConfig() if base is None else base
+    base = SimConfig()
     top = overrides.pop("", {})
     for owner, values in overrides.items():
         top[owner] = dataclasses.replace(getattr(base, owner), **values)
     return dataclasses.replace(base, **top)
 
 
-def read_config(path, base: SimConfig | None = None) -> SimConfig:
+def read_config(path) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read())
 
 
 def write_config(cfg: SimConfig, path) -> None:

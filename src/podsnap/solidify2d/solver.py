@@ -13,6 +13,9 @@ viscosity is evaluated at the previous temperature (keeping the
 momentum systems linear), and buoyancy is ``g beta (T^{n-1} - t_ref)``
 on vertical faces. On this grid the discrete projection is exact, so
 the corrected velocity is divergence-free to solver precision.
+
+All three implicit operators are five-point stencils on one index
+pattern, with one checked factorization and one checked solve.
 """
 
 from __future__ import annotations
@@ -147,20 +150,56 @@ class _Stencil:
         )
 
 
+def _neumann(ny, nx, cx, cy, shift) -> _Stencil:
+    """Homogeneous-Neumann five-point operator of an ny*nx cell field.
+
+    Couplings ``cx`` (east/west) and ``cy`` (north/south); the diagonal is
+    ``shift`` minus the couplings that exist, so a wall cell simply drops
+    its missing neighbour (zero normal gradient).
+    """
+    diag = np.full((ny, nx), shift)
+    diag[:, :-1] -= cx
+    diag[:, 1:] -= cx
+    diag[:-1, :] -= cy
+    diag[1:, :] -= cy
+    east = np.full((ny, nx), cx)
+    north = np.full((ny, nx), cy)
+    return _Stencil(diag, east, east, north, north)
+
+
+def _factor(matrix, label, **options):
+    """SuperLU factor of ``matrix``; a failure raises :class:`NumericalError`."""
+    try:
+        return spla.splu(matrix, **options)
+    except RuntimeError as exc:
+        raise NumericalError(f"{label} factorization failed: {exc}") from exc
+
+
+def _checked_solve(lu, matrix, rhs, tol, label):
+    """Solve with ``lu``; raises :class:`NumericalError` unless the result
+    is finite and ``|A x - b| <= tol * max(|b|, 1)``."""
+    sol = lu.solve(rhs)
+    residual = np.linalg.norm(matrix @ sol - rhs)
+    scale = max(np.linalg.norm(rhs), 1.0)
+    if not np.all(np.isfinite(sol)) or residual > tol * scale:
+        raise NumericalError(
+            f"{label} solve did not reach tolerance", residual=float(residual / scale)
+        )
+    return sol
+
+
 class CavitySolver:
     """Holds the grid operators and advances :class:`FlowState` objects.
 
-    The pressure-Poisson and temperature systems are factorized once at
-    construction; the momentum systems change with the viscosity field
-    and are refactorized every step. Every LU uses the ``MMD_AT_PLUS_A``
-    column ordering. For the momentum systems it is computed once per
-    grid shape and shared between solvers: each step's matrix is filled
-    into a CSC pattern already symmetrically permuted into that ordering
-    (``1/dt`` added on its diagonal) and factored in natural order with
-    single-column panels; the right-hand side is permuted in and the
-    solution out. A momentum solve whose residual exceeds
-    ``MOMENTUM_TOL`` relative to its right-hand side raises
-    :class:`NumericalError`.
+    The Poisson and temperature operators are :func:`_neumann` stencils,
+    factorized once at construction. The momentum stencils change with
+    the viscosity field and are refactorized every step: each is filled
+    into a CSC pattern already symmetrically permuted into the grid's
+    shared ``MMD_AT_PLUS_A`` ordering (``1/dt`` added on its diagonal)
+    and factored in natural order with single-column panels; the
+    right-hand side is permuted in and the solution out. Every factor
+    goes through :func:`_factor`, and the Poisson and momentum solves
+    through the residual check of :func:`_checked_solve`.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -177,39 +216,18 @@ class CavitySolver:
     # pressure correction
     # ------------------------------------------------------------------
     def _build_poisson(self):
-        g = self.cfg.grid
-        nx, ny, dx, dy = g.nx, g.ny, self.dx, self.dy
-        n = nx * ny
-        idx = np.arange(n).reshape(ny, nx)
-        rows, cols, vals = [], [], []
-        diag = np.zeros((ny, nx))
-        for dj, di, h2 in ((0, 1, dx * dx), (0, -1, dx * dx), (1, 0, dy * dy), (-1, 0, dy * dy)):
-            src = idx[max(0, -dj) : ny - max(0, dj), max(0, -di) : nx - max(0, di)]
-            dst = idx[max(0, dj) : ny - max(0, -dj), max(0, di) : nx - max(0, -di)]
-            rows.append(src.ravel())
-            cols.append(dst.ravel())
-            vals.append(np.full(src.size, 1.0 / h2))
-            diag[max(0, -dj) : ny - max(0, dj), max(0, -di) : nx - max(0, di)] -= 1.0 / h2
-        rows.append(idx.ravel())
-        cols.append(idx.ravel())
-        vals.append(diag.ravel())
+        ny, nx = self.cfg.grid.cell_shape
+        n = ny * nx
+        rows, cols = _five_point(ny, nx)
+        lap = _neumann(ny, nx, 1.0 / (self.dx * self.dx), 1.0 / (self.dy * self.dy), 0.0)
         # border the singular all-Neumann system with the zero-mean
         # constraint (Lagrange multiplier) instead of pinning a cell
-        rows.append(np.full(n, n))
-        cols.append(np.arange(n))
-        vals.append(np.ones(n))
-        rows.append(np.arange(n))
-        cols.append(np.full(n, n))
-        vals.append(np.ones(n))
-        matrix = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n + 1, n + 1),
-        )
-        self._poisson_matrix = matrix
-        try:
-            self._poisson_lu = spla.splu(matrix, permc_spec=_PERMC_SPEC)
-        except RuntimeError as exc:
-            raise NumericalError(f"pressure Poisson factorization failed: {exc}") from exc
+        cells, border = np.arange(n), np.full(n, n)
+        rows = np.concatenate([rows, border, cells])
+        cols = np.concatenate([cols, cells, border])
+        vals = np.concatenate([lap.values(), np.ones(2 * n)])
+        self._poisson_matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
+        self._poisson_lu = _factor(self._poisson_matrix, "pressure Poisson", permc_spec=_PERMC_SPEC)
 
     def divergence(self, u, v) -> np.ndarray:
         return (u[:, 1:] - u[:, :-1]) / self.dx + (v[1:, :] - v[:-1, :]) / self.dy
@@ -218,14 +236,9 @@ class CavitySolver:
         """Zero-mean correction phi with lap(phi) = div(u_tent) / dt."""
         div = self.divergence(u_tent, v_tent)
         rhs = np.append((div / self.cfg.dt).ravel(), 0.0)
-        sol = self._poisson_lu.solve(rhs)
-        residual = np.linalg.norm(self._poisson_matrix @ sol - rhs)
-        scale = max(np.linalg.norm(rhs), 1.0)
-        if not np.all(np.isfinite(sol)) or residual > POISSON_TOL * scale:
-            raise NumericalError(
-                "pressure Poisson solve did not reach tolerance",
-                residual=float(residual / scale),
-            )
+        sol = _checked_solve(
+            self._poisson_lu, self._poisson_matrix, rhs, POISSON_TOL, "pressure Poisson"
+        )
         return sol[:-1].reshape(self.cfg.grid.cell_shape)
 
     # ------------------------------------------------------------------
@@ -275,18 +288,8 @@ class CavitySolver:
         dt = self.cfg.dt
         matrix = pattern.matrix(stencil, 1.0 / dt)
         rhs = (old_interior / dt - stencil.apply(old_interior) + forcing).ravel()[pattern.perm]
-        try:
-            lu = spla.splu(matrix, **_MOMENTUM_FACTOR)
-        except RuntimeError as exc:
-            raise NumericalError(f"{label}-momentum factorization failed: {exc}") from exc
-        sol = lu.solve(rhs)
-        residual = np.linalg.norm(matrix @ sol - rhs)
-        scale = max(np.linalg.norm(rhs), 1.0)
-        if not np.all(np.isfinite(sol)) or residual > MOMENTUM_TOL * scale:
-            raise NumericalError(
-                f"{label}-momentum solve did not reach tolerance",
-                residual=float(residual / scale),
-            )
+        lu = _factor(matrix, label, **_MOMENTUM_FACTOR)
+        sol = _checked_solve(lu, matrix, rhs, MOMENTUM_TOL, label)
         out = np.empty_like(sol)
         out[pattern.perm] = sol
         return out.reshape(old_interior.shape)
@@ -313,7 +316,7 @@ class CavitySolver:
         grad_px = (state.p_star[:, 1:] - state.p_star[:, :-1]) / dx
         u_tent = state.u.copy()
         u_tent[:, 1:-1] = self._solve_component(
-            self._stencil_u(ub, vb, mu), self._u_pattern, state.u[:, 1:-1], -grad_px, "u"
+            self._stencil_u(ub, vb, mu), self._u_pattern, state.u[:, 1:-1], -grad_px, "u-momentum"
         )
 
         # v faces j = 1..ny-1
@@ -325,7 +328,7 @@ class CavitySolver:
         v_tent = state.v.copy()
         v_tent[1:-1, :] = self._solve_component(
             self._stencil_v(ub2, vb2, mu), self._v_pattern, state.v[1:-1, :],
-            -grad_py + buoyancy, "v",
+            -grad_py + buoyancy, "v-momentum",
         )
         return u_tent, v_tent
 
@@ -356,47 +359,27 @@ class CavitySolver:
     # ------------------------------------------------------------------
     def _build_temperature(self):
         cfg = self.cfg
-        g = cfg.grid
-        nx, ny, dx, dy = g.nx, g.ny, self.dx, self.dy
+        ny, nx = cfg.grid.cell_shape
+        dx, dy = self.dx, self.dy
         k = cfg.thermal_diffusivity
-        n = nx * ny
-        idx = np.arange(n).reshape(ny, nx)
-        rows, cols, vals = [], [], []
-        diag = np.full((ny, nx), 1.0 / cfg.dt)
-        for dj, di, h2 in ((0, 1, dx * dx), (0, -1, dx * dx), (1, 0, dy * dy), (-1, 0, dy * dy)):
-            src = idx[max(0, -dj) : ny - max(0, dj), max(0, -di) : nx - max(0, di)]
-            dst = idx[max(0, dj) : ny - max(0, -dj), max(0, di) : nx - max(0, -di)]
-            rows.append(src.ravel())
-            cols.append(dst.ravel())
-            vals.append(np.full(src.size, -k / h2))
-            diag[max(0, -dj) : ny - max(0, dj), max(0, -di) : nx - max(0, di)] += k / h2
+        op = _neumann(ny, nx, -k / (dx * dx), -k / (dy * dy), 1.0 / cfg.dt)
         wall = cfg.right_wall
         if wall.kind == "robin":
-            diag[:, -1] += wall.h / dx
+            op.diag[:, -1] += wall.h / dx
             self._wall_rhs = wall.h * wall.t_ambient / dx
         else:
-            diag[:, -1] += 2.0 * k / dx**2
+            op.diag[:, -1] += 2.0 * k / dx**2
             self._wall_rhs = 2.0 * k * wall.t_cold / dx**2
-        rows.append(idx.ravel())
-        cols.append(idx.ravel())
-        vals.append(diag.ravel())
-        matrix = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        try:
-            self._temp_lu = spla.splu(matrix, permc_spec=_PERMC_SPEC)
-        except RuntimeError as exc:
-            raise NumericalError(f"temperature factorization failed: {exc}") from exc
+        matrix = sp.csc_matrix((op.values(), _five_point(ny, nx)), shape=(ny * nx, ny * nx))
+        self._temp_lu = _factor(matrix, "temperature", permc_spec=_PERMC_SPEC)
 
-    def temperature_step(self, state: FlowState, u=None, v=None) -> np.ndarray:
+    def temperature_step(self, state: FlowState, u, v) -> np.ndarray:
         """Advance temperature: explicit upwind advection, implicit
-        diffusion, cooled right wall, adiabatic elsewhere."""
+        diffusion, cooled right wall, adiabatic elsewhere; ``u``, ``v``
+        are the advecting face velocities."""
         cfg = self.cfg
         g = cfg.grid
         dx, dy = self.dx, self.dy
-        u = state.u if u is None else u
-        v = state.v if v is None else v
         temp = state.temp
         flux_x = np.zeros((g.ny, g.nx + 1))
         ui = u[:, 1:-1]
@@ -450,12 +433,12 @@ class CavitySolver:
             [("u", g.n_u), ("v", g.n_v), ("p", g.n_cells), ("T", g.n_cells)]
         )
 
-    def run(self, state: FlowState | None = None, observer=None) -> SnapshotMatrix:
-        """March ``n_steps`` steps, collecting a snapshot column every
-        ``snap_every`` steps; ``observer(state)`` is called after each
-        collected snapshot."""
+    def run(self, observer=None) -> SnapshotMatrix:
+        """March ``n_steps`` steps from :func:`initial_state`, collecting a
+        snapshot column every ``snap_every`` steps; ``observer(state)`` is
+        called after each collected snapshot."""
         cfg = self.cfg
-        state = initial_state(cfg) if state is None else state
+        state = initial_state(cfg)
         columns, labels = [], []
         for _ in range(cfg.n_steps):
             try:

@@ -304,6 +304,12 @@ class TestPressureCorrection:
         rhs = (div / cfg.dt).ravel()
         phi_oracle = np.linalg.lstsq(dense, rhs, rcond=None)[0].reshape(ny, nx)
         assert np.max(np.abs(phi - phi_oracle)) <= 1e-10 * max(1.0, np.max(np.abs(phi_oracle)))
+        # the assembled operator is exactly that Laplacian, bordered by the
+        # zero-mean row and column
+        bordered = np.zeros((n + 1, n + 1))
+        bordered[:n, :n] = dense
+        bordered[n, :n] = bordered[:n, n] = 1.0
+        assert np.array_equal(solver._poisson_matrix.toarray(), bordered)
 
     def test_zero_mean_and_rhs_constant_invariance(self):
         cfg = small_config()
@@ -368,8 +374,46 @@ class TestTemperatureStep:
         cfg = quiescent_config()
         solver = CavitySolver(cfg)
         state = initial_state(cfg)
-        temp = solver.temperature_step(state)
+        temp = solver.temperature_step(state, state.u, state.v)
         assert np.max(np.abs(temp - 700.0)) <= 1e-12 * 700.0
+
+    @pytest.mark.parametrize(
+        "wall",
+        [CoolingWall(kind="robin", h=10.0, t_ambient=550.0), CoolingWall(kind="dirichlet", t_cold=550.0)],
+    )
+    def test_matches_dense_oracle_7x5(self, wall):
+        grid = StaggeredGrid2D(7, 5, ly=0.6)
+        cfg = small_config(grid=grid, right_wall=wall)
+        solver = CavitySolver(cfg)
+        rng = np.random.default_rng(11)
+        state = dataclasses.replace(
+            initial_state(cfg), temp=600.0 + 100.0 * rng.random(grid.cell_shape)
+        )
+        zero_u, zero_v = np.zeros(grid.u_shape), np.zeros(grid.v_shape)
+        temp = solver.temperature_step(state, zero_u, zero_v)
+
+        # I/dt - k L + wall from Kronecker products of 1D Neumann
+        # second differences, independent of the solver's stencil
+        def neumann_1d(m, h):
+            d = np.diag(np.full(m - 1, 1.0), 1) + np.diag(np.full(m - 1, 1.0), -1)
+            return (d - np.diag(d.sum(axis=1))) / (h * h)
+
+        k, dx = cfg.thermal_diffusivity, grid.dx
+        lap = np.kron(np.eye(grid.ny), neumann_1d(grid.nx, dx)) + np.kron(
+            neumann_1d(grid.ny, grid.dy), np.eye(grid.nx)
+        )
+        n = grid.nx * grid.ny
+        matrix = np.eye(n) / cfg.dt - k * lap
+        rhs = state.temp / cfg.dt
+        if wall.kind == "robin":
+            coeff, t_wall = wall.h / dx, wall.t_ambient
+        else:
+            coeff, t_wall = 2.0 * k / dx**2, wall.t_cold
+        right = np.arange(grid.nx - 1, n, grid.nx)
+        matrix[right, right] += coeff
+        rhs[:, -1] += coeff * t_wall
+        oracle = np.linalg.solve(matrix, rhs.ravel()).reshape(grid.cell_shape)
+        assert np.max(np.abs(temp - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_robin_cooling_drains_energy(self):
         cfg = small_config(
