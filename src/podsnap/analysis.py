@@ -117,7 +117,6 @@ def compare(named_spectra, thresholds=(0.9999,), fit_range=DEFAULT_FIT_RANGE) ->
     thresholds = tuple(sorted(float(t) for t in thresholds))
 
     cases = []
-    counts: dict[str, dict[float, int]] = {}
     for name, spectrum in named_spectra:
         needed = {t: modes_for_energy(spectrum, t).modes_needed for t in thresholds}
         fits = {}
@@ -127,23 +126,20 @@ def compare(named_spectra, thresholds=(0.9999,), fit_range=DEFAULT_FIT_RANGE) ->
             except DegenerateSpectrumError:
                 fits[model] = None
         cases.append(CaseSummary(name, needed, fits["loglog"], fits["semilog"]))
-        counts[name] = needed
 
     verdicts = []
-    ordered_names = sorted(names)
-    for i, a in enumerate(ordered_names):
-        for b in ordered_names[i + 1 :]:
+    ordered = sorted(cases, key=lambda c: c.name)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
             for t in thresholds:
-                if counts[a][t] < counts[b][t]:
+                if a.modes_needed[t] < b.modes_needed[t]:
                     verdict = "a<b"
-                elif counts[a][t] > counts[b][t]:
+                elif a.modes_needed[t] > b.modes_needed[t]:
                     verdict = "b<a"
                 else:
                     verdict = "tie"
-                verdicts.append((a, b, t, verdict))
+                verdicts.append((a.name, b.name, t, verdict))
 
-    order = {name: k for k, name in enumerate(names)}
-    cases.sort(key=lambda c: order[c.name])
     return SpectrumReport(thresholds, tuple(cases), tuple(verdicts))
 
 

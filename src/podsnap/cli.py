@@ -28,7 +28,6 @@ from .snapshots import SnapshotMatrix, read_snap, write_snap
 from .solidify2d import (
     SimConfig,
     default_mushy_config,
-    default_pure_metal_config,
     read_config,
     run_case,
     write_config,
@@ -50,29 +49,29 @@ def _echo_config(pairs) -> None:
 
 
 def _check_distinct(inputs, outputs) -> None:
-    resolved_in = {pathlib.Path(p).resolve() for p in inputs}
+    """Reject an output path that names an input or an earlier output."""
+    taken = {pathlib.Path(p).resolve() for p in inputs}
     for out in outputs:
-        if pathlib.Path(out).resolve() in resolved_in:
-            raise ArgumentError(f"output path {out} collides with an input path")
+        resolved = pathlib.Path(out).resolve()
+        if resolved in taken:
+            raise ArgumentError(f"output path {out} collides with another input or output path")
+        taken.add(resolved)
 
 
 # ----------------------------------------------------------------------
 # generation verbs
 # ----------------------------------------------------------------------
 def _cmd_gen_heat1d(args) -> None:
-    grid = Grid1D(args.nodes, args.x_min, args.x_max)
     ic = cases1d.InitialCondition1D(left=args.ic_left, right=args.ic_right, height=args.ic_height)
     cfg = cases1d.Heat1DConfig(
-        alpha=args.alpha, dt=args.dt, grid=grid, n_snaps=args.snapshots,
+        alpha=args.alpha, dt=args.dt, grid=Grid1D(args.nodes), n_snaps=args.snapshots,
         ic=ic, scheme=args.scheme,
     )
     _echo_config(
         [
-            ("nodes", args.nodes), ("x_min", args.x_min), ("x_max", args.x_max),
-            ("snapshots", args.snapshots), ("alpha", args.alpha), ("dt", args.dt),
-            ("scheme", args.scheme), ("ic_left", args.ic_left),
-            ("ic_right", args.ic_right), ("ic_height", args.ic_height),
-            ("out", args.out),
+            ("nodes", args.nodes), ("snapshots", args.snapshots), ("alpha", args.alpha),
+            ("dt", args.dt), ("scheme", args.scheme), ("ic_left", args.ic_left),
+            ("ic_right", args.ic_right), ("ic_height", args.ic_height), ("out", args.out),
         ]
     )
     write_snap(cases1d.solve_heat1d(cfg), args.out)
@@ -131,7 +130,6 @@ def _sibling(path, name) -> str:
 
 
 def _cmd_pod(args) -> None:
-    _check_distinct([args.in_path], [args.out])
     _echo_config(
         [
             ("in", args.in_path), ("out", args.out),
@@ -150,6 +148,7 @@ def _cmd_pod(args) -> None:
         raise ArgumentError(
             f"component {args.components!r} not in layout {matrix.layout.names}"
         )
+    _check_distinct([args.in_path], outputs)
     for path, m in outputs.items():
         pod.write_spectrum_csv(pod.decompose(m, method=args.method).spectrum, path)
 
@@ -168,10 +167,7 @@ def _cmd_analyze(args) -> None:
             ("fit_lo", args.fit_lo), ("fit_hi", args.fit_hi),
         ]
     )
-    named = [
-        (pathlib.Path(p).stem, pod.read_spectrum_csv(p, source_label=pathlib.Path(p).stem))
-        for p in args.in_paths
-    ]
+    named = [(pathlib.Path(p).stem, pod.read_spectrum_csv(p)) for p in args.in_paths]
     report = analysis.compare(named, thresholds, fit_range=(args.fit_lo, args.fit_hi))
     analysis.write_report_csv(report, args.out)
     analysis.write_verdicts_csv(report, verdicts_out)
@@ -269,8 +265,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=1e-3, help="timestep")
     p.add_argument("--scheme", choices=("implicit_euler", "explicit_euler"),
                    default="implicit_euler", help="time integration scheme")
-    p.add_argument("--x-min", type=float, default=0.0, help="left domain edge")
-    p.add_argument("--x-max", type=float, default=1.0, help="right domain edge")
     p.add_argument("--ic-left", type=float, default=0.25, help="rectangle IC left edge")
     p.add_argument("--ic-right", type=float, default=0.75, help="rectangle IC right edge")
     p.add_argument("--ic-height", type=float, default=1.0, help="rectangle IC height")

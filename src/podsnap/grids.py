@@ -11,25 +11,25 @@ from .errors import ArgumentError
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform 1D grid of ``n_nodes`` nodes spanning [x_min, x_max]."""
+    """Uniform 1D grid of ``n_nodes`` nodes spanning the unit interval.
+
+    Every 1D case lives on [0, 1]; a domain of length L is the same
+    problem with the diffusivity scaled by 1 / L^2.
+    """
 
     n_nodes: int
-    x_min: float = 0.0
-    x_max: float = 1.0
 
     def __post_init__(self):
         if self.n_nodes < 2:
             raise ArgumentError(f"need at least 2 nodes, got {self.n_nodes}")
-        if not self.x_max > self.x_min:
-            raise ArgumentError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
 
     @property
     def spacing(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_nodes - 1)
+        return 1.0 / (self.n_nodes - 1)
 
     def nodes(self) -> np.ndarray:
-        """Node coordinates x_i = x_min + i * spacing."""
-        return np.linspace(self.x_min, self.x_max, self.n_nodes)
+        """Node coordinates x_i = i * spacing."""
+        return np.linspace(0.0, 1.0, self.n_nodes)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ class PodSpectrum:
     """Non-increasing singular values of one snapshot matrix."""
 
     sigma: np.ndarray
-    source_label: str = ""
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=np.float64)
@@ -207,11 +206,7 @@ def truncate(b: PodBasis, r: int) -> PodBasis:
     """Keep the first r modes (the optimal rank-r approximation)."""
     if not 1 <= r <= b.n_modes:
         raise ArgumentError(f"rank {r} outside [1, {b.n_modes}]")
-    return PodBasis(
-        b.modes[:, :r],
-        b.coeffs[:r, :],
-        PodSpectrum(b.spectrum.sigma[:r], b.spectrum.source_label),
-    )
+    return PodBasis(b.modes[:, :r], b.coeffs[:r, :], PodSpectrum(b.spectrum.sigma[:r]))
 
 
 def component_split(m: SnapshotMatrix) -> dict[str, SnapshotMatrix]:
@@ -259,7 +254,7 @@ def write_spectrum_csv(s: PodSpectrum, path) -> None:
             )
 
 
-def read_spectrum_csv(path, source_label: str = "") -> PodSpectrum:
+def read_spectrum_csv(path) -> PodSpectrum:
     """Parse a spectrum CSV written by :func:`write_spectrum_csv`."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -275,4 +270,4 @@ def read_spectrum_csv(path, source_label: str = "") -> PodSpectrum:
             sigma.append(float(parts[1]))
     if not sigma:
         raise DataError("spectrum CSV has no data rows")
-    return PodSpectrum(np.asarray(sigma), source_label)
+    return PodSpectrum(np.asarray(sigma))

@@ -28,17 +28,14 @@ _SCHEMA = {
         "mu_liquid": "viscosity.mu_liquid",
         "t_freeze": "viscosity.t_freeze",
         "jump_factor": "viscosity.jump_factor",
-        "mu_cap": "viscosity.mu_cap",
         "thermal_diffusivity": "thermal_diffusivity",
         "buoyancy_coeff": "buoyancy_coeff",
         "t_ref": "t_ref",
         "initial_temp": "initial_temp",
     },
     "boundary": {
-        "right_wall": "right_wall.kind",
         "h": "right_wall.h",
         "t_ambient": "right_wall.t_ambient",
-        "t_cold": "right_wall.t_cold",
         "wall_tangential": "wall_tangential",
     },
     "output": {"snap_every": "snap_every"},

@@ -20,18 +20,17 @@ class ViscosityModel:
     """Temperature-dependent dynamic viscosity.
 
     ``mushy`` ramps quadratically below the freezing point,
-    ``mu_liquid + 10 (T - t_freeze)^2``, clamped at ``mu_cap``; the
-    liquid baseline keeps the law positive at the freezing point
-    itself. ``sharp_jump`` multiplies the liquid viscosity by
-    ``jump_factor`` for any subcooling, modelling a pure metal with a
-    sharp solid-liquid interface.
+    ``mu_liquid + 10 (T - t_freeze)^2``, uncapped; the liquid baseline
+    keeps the law positive at the freezing point itself. ``sharp_jump``
+    multiplies the liquid viscosity by ``jump_factor`` for any
+    subcooling, modelling a pure metal with a sharp solid-liquid
+    interface.
     """
 
     kind: str = "mushy"
     mu_liquid: float = 100.0
     t_freeze: float = FREEZE_DEFAULT
     jump_factor: float = 1e6
-    mu_cap: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("mushy", "sharp_jump"):
@@ -42,10 +41,6 @@ class ViscosityModel:
             raise ArgumentError(
                 f"jump_factor must span at least three decades, got {self.jump_factor}"
             )
-        if self.mu_cap is None:
-            object.__setattr__(self, "mu_cap", 1e7 * self.mu_liquid)
-        if self.mu_cap < self.mu_liquid:
-            raise ArgumentError("mu_cap below the liquid viscosity")
 
 
 def viscosity_of(model: ViscosityModel, temp) -> np.ndarray:
@@ -54,8 +49,7 @@ def viscosity_of(model: ViscosityModel, temp) -> np.ndarray:
     if not np.all(np.isfinite(temp)):
         raise DataError("temperature contains non-finite values")
     if model.kind == "mushy":
-        ramp = model.mu_liquid + MUSHY_COEFF * (temp - model.t_freeze) ** 2
-        below = np.minimum(model.mu_cap, ramp)
+        below = model.mu_liquid + MUSHY_COEFF * (temp - model.t_freeze) ** 2
     else:
         below = np.full_like(temp, model.mu_liquid * model.jump_factor)
     return np.where(temp < model.t_freeze, below, model.mu_liquid)[()]
@@ -63,23 +57,15 @@ def viscosity_of(model: ViscosityModel, temp) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoolingWall:
-    """Right-wall cooling: Robin ``-k dT/dn = h (T - t_ambient)`` or a
-    fixed Dirichlet wall temperature. ``h = 0`` disables cooling."""
+    """Robin right-wall cooling ``-k dT/dn = h (T - t_ambient)``;
+    ``h = 0`` makes the wall adiabatic."""
 
-    kind: str = "robin"
     h: float = 10.0
     t_ambient: float = 550.0
-    t_cold: float = 550.0
 
     def __post_init__(self):
-        if self.kind not in ("robin", "dirichlet"):
-            raise ArgumentError(f"unknown wall condition {self.kind!r}")
         if self.h < 0:
             raise ArgumentError(f"heat transfer coefficient must be >= 0, got {self.h}")
-
-    @property
-    def cold_reference(self) -> float:
-        return self.t_ambient if self.kind == "robin" else self.t_cold
 
 
 @dataclass(frozen=True)
@@ -132,15 +118,13 @@ class FlowState:
     """Discrete fields of one time level on the staggered grid.
 
     ``p_star`` is the pressure guess for the next momentum solve (the
-    current pressure, once a step has completed) and ``phi`` the last
-    pressure correction. ``u_prev``/``v_prev`` hold the previous level
-    for the Adams-Bashforth convecting velocity.
+    current pressure, once a step has completed). ``u_prev``/``v_prev``
+    hold the previous level for the Adams-Bashforth convecting velocity.
     """
 
     u: np.ndarray
     v: np.ndarray
     p_star: np.ndarray
-    phi: np.ndarray
     temp: np.ndarray
     u_prev: np.ndarray
     v_prev: np.ndarray
@@ -148,7 +132,7 @@ class FlowState:
     step: int = 0
 
     def __post_init__(self):
-        for name in ("u", "v", "p_star", "phi", "temp", "u_prev", "v_prev"):
+        for name in ("u", "v", "p_star", "temp", "u_prev", "v_prev"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"state field {name} contains non-finite values")
@@ -163,7 +147,6 @@ def initial_state(cfg: SimConfig) -> FlowState:
         u=np.zeros(grid.u_shape),
         v=np.zeros(grid.v_shape),
         p_star=np.zeros(grid.cell_shape),
-        phi=np.zeros(grid.cell_shape),
         temp=np.full(grid.cell_shape, cfg.initial_temp),
         u_prev=np.zeros(grid.u_shape),
         v_prev=np.zeros(grid.v_shape),

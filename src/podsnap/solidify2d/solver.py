@@ -364,12 +364,8 @@ class CavitySolver:
         k = cfg.thermal_diffusivity
         op = _neumann(ny, nx, -k / (dx * dx), -k / (dy * dy), 1.0 / cfg.dt)
         wall = cfg.right_wall
-        if wall.kind == "robin":
-            op.diag[:, -1] += wall.h / dx
-            self._wall_rhs = wall.h * wall.t_ambient / dx
-        else:
-            op.diag[:, -1] += 2.0 * k / dx**2
-            self._wall_rhs = 2.0 * k * wall.t_cold / dx**2
+        op.diag[:, -1] += wall.h / dx
+        self._wall_rhs = wall.h * wall.t_ambient / dx
         matrix = sp.csc_matrix((op.values(), _five_point(ny, nx)), shape=(ny * nx, ny * nx))
         self._temp_lu = _factor(matrix, "temperature", permc_spec=_PERMC_SPEC)
 
@@ -419,7 +415,6 @@ class CavitySolver:
             u=u_new,
             v=v_new,
             p_star=state.p_star + phi,
-            phi=phi,
             temp=temp_new,
             u_prev=state.u,
             v_prev=state.v,

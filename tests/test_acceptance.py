@@ -230,7 +230,7 @@ class TestCriterion6SolverSuite:
     def test_quiescent_fixed_point(self):
         cfg = SimConfig(
             grid=StaggeredGrid2D(16, 16), dt=2e-3, n_steps=100, snap_every=100,
-            right_wall=CoolingWall(kind="robin", h=0.0),
+            right_wall=CoolingWall(h=0.0),
             initial_temp=700.0, t_ref=700.0,
         )
         solver = CavitySolver(cfg)
@@ -311,7 +311,7 @@ class TestCriterion6SolverSuite:
             cfg = SimConfig(
                 grid=grid, dt=dt, n_steps=n_steps, snap_every=n_steps,
                 viscosity=ViscosityModel(kind="mushy", mu_liquid=nu),
-                right_wall=CoolingWall(kind="robin", h=0.0),
+                right_wall=CoolingWall(h=0.0),
                 initial_temp=700.0, t_ref=700.0, wall_tangential="free_slip",
             )
             solver = CavitySolver(cfg)
@@ -330,7 +330,7 @@ class TestCriterion6SolverSuite:
             u0, v0, p0 = exact(0.0)
             um, vm, _ = exact(-dt)
             state = FlowState(
-                u=u0, v=v0, p_star=p0, phi=np.zeros(grid.cell_shape),
+                u=u0, v=v0, p_star=p0,
                 temp=np.full(grid.cell_shape, 700.0), u_prev=um, v_prev=vm,
                 time=0.0, step=1,
             )

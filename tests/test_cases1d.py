@@ -110,10 +110,6 @@ class TestAdvectedJump:
         assert np.all((data == 0.0) | (data == 1.0))
         assert np.all(np.diff(data, axis=1) >= 0.0)
 
-    def test_non_unit_domain_rejected(self):
-        with pytest.raises(ArgumentError):
-            gen_advected_jump(Grid1D(16, 0.0, 2.0), 8)
-
     def test_too_few_snapshots_rejected(self):
         with pytest.raises(ArgumentError):
             gen_advected_jump(Grid1D(16), 1)

@@ -1,5 +1,6 @@
 """CLI verbs, exit codes, determinism, and the repro pipeline."""
 
+import argparse
 import dataclasses
 import os
 import pathlib
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 
 import podsnap
-from podsnap.cli import main
+from podsnap.cli import build_parser, main
 from podsnap.snapshots import read_snap
 from podsnap.solidify2d import read_config, run_case
 
@@ -65,6 +66,29 @@ class TestGenerationVerbs:
         err = capsys.readouterr().err
         assert "config: nodes = 256" in err
         assert "config: snapshots = 128" in err
+
+    def test_every_1d_option_is_echoed(self, tmp_path, capsys):
+        # "every run echoes its resolved configuration": each option a
+        # 1D generator parses must show up as a config line
+        verbs = next(
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for verb in ("gen-heat1d", "gen-jump", "gen-sigmoid"):
+            dests = [a.dest for a in verbs[verb]._actions if a.dest != "help"]
+            assert run_cli(verb, "--out", str(tmp_path / f"{verb}.snap")) == 0
+            err = capsys.readouterr().err
+            for dest in dests:
+                assert f"config: {dest} = " in err, (verb, dest)
+
+    def test_deleted_config_key_is_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "old.cfg"
+        cfg_path.write_text("[material]\nmu_cap = 1e9\n")
+        code = run_cli("gen-cavity2d", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "c.snap"))
+        assert code == 2
+        assert "mu_cap" in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "c.snap").exists()
 
     def test_deterministic_output_bytes(self, tmp_path):
         a = tmp_path / "a.snap"
@@ -155,6 +179,34 @@ class TestExitCodes:
         snap = tmp_path / "jump.snap"
         run_cli("gen-jump", "--out", str(snap))
         assert run_cli("pod", "--in", str(snap), "--out", str(snap)) == 1
+
+    def test_component_output_colliding_with_input_is_1(self, tmp_path):
+        # with --components all, out.snap's u sibling is out_u.snap
+        cfg_path = tmp_path / "case.cfg"
+        cfg_path.write_text("[grid]\nnx = 8\nny = 8\n[time]\nn_steps = 4\n[output]\nsnap_every = 2\n")
+        snap = tmp_path / "study_u.snap"
+        run_cli("gen-cavity2d", "--config", str(cfg_path), "--out", str(snap))
+        before = snap.read_bytes()
+        code = run_cli("pod", "--in", str(snap), "--out", str(tmp_path / "study.snap"),
+                       "--components", "all")
+        assert code == 1
+        assert snap.read_bytes() == before
+        assert not (tmp_path / "study.snap").exists()
+
+    def test_colliding_outputs_are_1(self, tmp_path):
+        snap = tmp_path / "jump.snap"
+        csv = tmp_path / "jump.csv"
+        run_cli("gen-jump", "--out", str(snap))
+        run_cli("pod", "--in", str(snap), "--out", str(csv))
+        before = csv.read_bytes()
+        other = tmp_path / "jump2.csv"
+        other.write_bytes(before)
+        same = tmp_path / "same.csv"
+        code = run_cli("analyze", "--in", str(csv), str(other),
+                       "--out", str(same), "--verdicts-out", str(same))
+        assert code == 1
+        assert csv.read_bytes() == before and other.read_bytes() == before
+        assert not same.exists()
 
     def test_structured_error_line(self, tmp_path, capsys):
         run_cli("pod", "--in", str(tmp_path / "nope.snap"), "--out", str(tmp_path / "s.csv"))

@@ -9,17 +9,13 @@ from podsnap.grids import Grid1D, StaggeredGrid2D
 
 class TestGrid1D:
     def test_nodes_and_spacing(self):
-        grid = Grid1D(5, 0.0, 2.0)
-        assert grid.spacing == 0.5
-        np.testing.assert_allclose(grid.nodes(), [0.0, 0.5, 1.0, 1.5, 2.0])
+        grid = Grid1D(5)
+        assert grid.spacing == 0.25
+        np.testing.assert_allclose(grid.nodes(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_validation(self):
         with pytest.raises(ArgumentError):
             Grid1D(1)
-        with pytest.raises(ArgumentError):
-            Grid1D(4, 1.0, 1.0)
-        with pytest.raises(ArgumentError):
-            Grid1D(4, 2.0, 1.0)
 
 
 class TestStaggeredGrid2D:
