@@ -106,7 +106,7 @@ def compare(named_spectra, thresholds=(0.9999,), fit_range=DEFAULT_FIT_RANGE) ->
     named_spectra : sequence of (name, PodSpectrum)
         At least two entries with unique names.
     thresholds : sequence of float
-        Energy-capture levels; reported in ascending order.
+        Energy-capture levels; each reported once, in ascending order.
     """
     named_spectra = list(named_spectra)
     if len(named_spectra) < 2:
@@ -114,7 +114,7 @@ def compare(named_spectra, thresholds=(0.9999,), fit_range=DEFAULT_FIT_RANGE) ->
     names = [name for name, _ in named_spectra]
     if len(set(names)) != len(names):
         raise ArgumentError(f"duplicate case names: {names}")
-    thresholds = tuple(sorted(float(t) for t in thresholds))
+    thresholds = tuple(sorted({float(t) for t in thresholds}))
 
     cases = []
     for name, spectrum in named_spectra:

@@ -30,6 +30,10 @@ from .snapshots import FieldLayout, SnapshotMatrix, assemble
 STEEP_K = 100.0
 STRETCHED_K = 15.0
 
+# Resolution of every 1D case unless a caller asks for another.
+N_NODES = 256
+N_SNAPS = 128
+
 
 @dataclass(frozen=True)
 class InitialCondition1D:
@@ -66,8 +70,8 @@ class Heat1DConfig:
 
     alpha: float = 1.0
     dt: float = 1e-3
-    grid: Grid1D = field(default_factory=lambda: Grid1D(256))
-    n_snaps: int = 128
+    grid: Grid1D = field(default_factory=lambda: Grid1D(N_NODES))
+    n_snaps: int = N_SNAPS
     ic: InitialCondition1D = field(default_factory=InitialCondition1D)
     scheme: str = "implicit_euler"
 
@@ -129,7 +133,7 @@ def _advection_times(n_snaps: int) -> np.ndarray:
     return np.arange(n_snaps) / (n_snaps - 1)
 
 
-def gen_advected_jump(grid: Grid1D, n_snaps: int = 128) -> SnapshotMatrix:
+def gen_advected_jump(grid: Grid1D, n_snaps: int = N_SNAPS) -> SnapshotMatrix:
     """Advected discontinuity: entry (i, j) = 1 if x_i <= t_j else 0.
 
     The front positions t_j sample the grid's unit interval uniformly.
@@ -140,7 +144,7 @@ def gen_advected_jump(grid: Grid1D, n_snaps: int = 128) -> SnapshotMatrix:
     return SnapshotMatrix(data, FieldLayout.single("u", grid.n_nodes), t)
 
 
-def gen_sigmoid(grid: Grid1D, n_snaps: int = 128, k: float = STEEP_K) -> SnapshotMatrix:
+def gen_sigmoid(grid: Grid1D, n_snaps: int = N_SNAPS, k: float = STEEP_K) -> SnapshotMatrix:
     """Advected smooth step: entry (i, j) = 1 / (1 + exp(-k (t_j - x_i))).
 
     ``k`` is the front steepness; the advected jump is the k -> infinity

@@ -15,7 +15,6 @@ Exit codes: 0 on success, otherwise as :mod:`podsnap.errors` states.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import multiprocessing
 import pathlib
 import sys
@@ -30,9 +29,10 @@ from .solidify2d import (
     default_mushy_config,
     read_config,
     run_case,
+    with_viscosity,
     write_config,
 )
-from .solidify2d.configfile import config_text
+from .solidify2d.configfile import config_text, finite_float
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,9 +43,16 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentError(message)
 
 
-def _echo_config(pairs) -> None:
-    for key, value in pairs:
-        print(f"config: {key} = {value}", file=sys.stderr)
+def _echo(args, cfg: SimConfig | None = None) -> None:
+    """Echo every parsed option, then the resolved cavity configuration."""
+    for dest, value in vars(args).items():
+        if dest not in ("verb", "handler"):
+            if isinstance(value, list):
+                value = " ".join(map(str, value))
+            print(f"config: {dest} = {value}", file=sys.stderr)
+    if cfg is not None:
+        for line in config_text(cfg).splitlines():
+            print(f"config: {line}", file=sys.stderr)
 
 
 def _check_distinct(inputs, outputs) -> None:
@@ -67,56 +74,27 @@ def _cmd_gen_heat1d(args) -> None:
         alpha=args.alpha, dt=args.dt, grid=Grid1D(args.nodes), n_snaps=args.snapshots,
         ic=ic, scheme=args.scheme,
     )
-    _echo_config(
-        [
-            ("nodes", args.nodes), ("snapshots", args.snapshots), ("alpha", args.alpha),
-            ("dt", args.dt), ("scheme", args.scheme), ("ic_left", args.ic_left),
-            ("ic_right", args.ic_right), ("ic_height", args.ic_height), ("out", args.out),
-        ]
-    )
+    _echo(args)
     write_snap(cases1d.solve_heat1d(cfg), args.out)
 
 
 def _cmd_gen_jump(args) -> None:
-    _echo_config([("nodes", args.nodes), ("snapshots", args.snapshots), ("out", args.out)])
+    _echo(args)
     write_snap(cases1d.gen_advected_jump(Grid1D(args.nodes), args.snapshots), args.out)
 
 
 def _cmd_gen_sigmoid(args) -> None:
-    _echo_config(
-        [
-            ("nodes", args.nodes), ("snapshots", args.snapshots),
-            ("steepness", args.steepness), ("out", args.out),
-        ]
-    )
-    write_snap(
-        cases1d.gen_sigmoid(Grid1D(args.nodes), args.snapshots, k=args.steepness), args.out
-    )
-
-
-def _with_viscosity(cfg: SimConfig, kind: str) -> SimConfig:
-    return dataclasses.replace(cfg, viscosity=dataclasses.replace(cfg.viscosity, kind=kind))
-
-
-def _cavity_config(args) -> SimConfig:
-    cfg = read_config(args.config)
-    if args.viscosity is not None:
-        cfg = _with_viscosity(cfg, args.viscosity)
-    overrides = {
-        name: getattr(args, name)
-        for name in ("dt", "n_steps", "snap_every")
-        if getattr(args, name) is not None
-    }
-    return dataclasses.replace(cfg, **overrides)
+    _echo(args)
+    matrix = cases1d.gen_sigmoid(Grid1D(args.nodes), args.snapshots, k=args.steepness)
+    write_snap(matrix, args.out)
 
 
 def _cmd_gen_cavity2d(args) -> None:
     _check_distinct([args.config], [args.out])
-    cfg = _cavity_config(args)
-    print("config: (resolved cavity configuration)", file=sys.stderr)
-    for line in config_text(cfg).splitlines():
-        print(f"config: {line}", file=sys.stderr)
-    print(f"config: out = {args.out}", file=sys.stderr)
+    cfg = read_config(args.config)
+    if args.viscosity is not None:
+        cfg = with_viscosity(cfg, args.viscosity)
+    _echo(args, cfg)
     write_snap(run_case(cfg), args.out)
 
 
@@ -130,12 +108,7 @@ def _sibling(path, name) -> str:
 
 
 def _cmd_pod(args) -> None:
-    _echo_config(
-        [
-            ("in", args.in_path), ("out", args.out),
-            ("method", args.method), ("components", args.components),
-        ]
-    )
+    _echo(args)
     matrix = read_snap(args.in_path)
     if args.components == "combined":
         outputs = {args.out: matrix}
@@ -145,43 +118,26 @@ def _cmd_pod(args) -> None:
     elif args.components in matrix.layout.names:
         outputs = {args.out: pod.component_split(matrix)[args.components]}
     else:
-        raise ArgumentError(
-            f"component {args.components!r} not in layout {matrix.layout.names}"
-        )
+        raise ArgumentError(f"component {args.components!r} not in layout {matrix.layout.names}")
     _check_distinct([args.in_path], outputs)
     for path, m in outputs.items():
         pod.write_spectrum_csv(pod.decompose(m, method=args.method).spectrum, path)
 
 
 def _cmd_analyze(args) -> None:
-    verdicts_out = args.verdicts_out
-    if verdicts_out is None:
-        verdicts_out = _sibling(args.out, "verdicts")
-    _check_distinct(args.in_paths, [args.out, verdicts_out])
-    thresholds = args.threshold or [0.9999]
-    _echo_config(
-        [
-            ("in", " ".join(args.in_paths)), ("out", args.out),
-            ("verdicts_out", verdicts_out),
-            ("threshold", " ".join(str(t) for t in thresholds)),
-            ("fit_lo", args.fit_lo), ("fit_hi", args.fit_hi),
-        ]
-    )
+    args.threshold = args.threshold or [0.9999]
+    args.verdicts_out = args.verdicts_out or _sibling(args.out, "verdicts")
+    _echo(args)
+    _check_distinct(args.in_paths, [args.out, args.verdicts_out])
     named = [(pathlib.Path(p).stem, pod.read_spectrum_csv(p)) for p in args.in_paths]
-    report = analysis.compare(named, thresholds, fit_range=(args.fit_lo, args.fit_hi))
+    report = analysis.compare(named, args.threshold, fit_range=(args.fit_lo, args.fit_hi))
     analysis.write_report_csv(report, args.out)
-    analysis.write_verdicts_csv(report, verdicts_out)
+    analysis.write_verdicts_csv(report, args.verdicts_out)
 
 
 # ----------------------------------------------------------------------
 # repro
 # ----------------------------------------------------------------------
-_REPORTS = {
-    "1d": ("heat", "jump", "sigmoid_steep", "sigmoid_stretched"),
-    "2d": ("cavity_mushy", "cavity_pure"),
-    "components": tuple(f"cavity_pure_{comp}" for comp in "uvpT"),
-}
-
 # The two cavity cases run no faster on two threads than one after the
 # other, so they run in worker processes. ``fork`` starts a worker without
 # re-importing numpy/scipy (``forkserver`` and ``spawn`` gain nothing);
@@ -198,26 +154,22 @@ def _generate_cavity(cfg: SimConfig) -> SnapshotMatrix:
 def _cmd_repro(args) -> None:
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.cavity_config is not None:
-        base = read_config(args.cavity_config)
-    else:
-        base = default_mushy_config()
+    base = (read_config(args.cavity_config) if args.cavity_config is not None
+            else default_mushy_config())
     cavity = {
-        f"cavity_{label}": _with_viscosity(base, kind)
+        f"cavity_{label}": with_viscosity(base, kind)
         for label, kind in (("mushy", "mushy"), ("pure", "sharp_jump"))
     }
-    _echo_config([("out_dir", str(out_dir)), ("cavity_config", args.cavity_config)])
-    for line in config_text(cavity["cavity_mushy"]).splitlines():
-        print(f"config: {line}", file=sys.stderr)
+    _echo(args, cavity["cavity_mushy"])
     for name, cfg in cavity.items():
         write_config(cfg, out_dir / f"{name}.cfg")
 
-    grid = Grid1D(256)
+    grid = Grid1D(cases1d.N_NODES)
     tasks = {
         "heat": lambda: cases1d.solve_heat1d(cases1d.Heat1DConfig()),
-        "jump": lambda: cases1d.gen_advected_jump(grid, 128),
-        "sigmoid_steep": lambda: cases1d.gen_sigmoid(grid, 128, k=cases1d.STEEP_K),
-        "sigmoid_stretched": lambda: cases1d.gen_sigmoid(grid, 128, k=cases1d.STRETCHED_K),
+        "jump": lambda: cases1d.gen_advected_jump(grid),
+        "sigmoid_steep": lambda: cases1d.gen_sigmoid(grid, k=cases1d.STEEP_K),
+        "sigmoid_stretched": lambda: cases1d.gen_sigmoid(grid, k=cases1d.STRETCHED_K),
     }
     # The process pool forks all its workers at the first submit; submitting
     # both cavity cases before the thread pool exists means no other thread
@@ -239,7 +191,12 @@ def _cmd_repro(args) -> None:
         spectra[name] = pod.decompose(matrix).spectrum
         pod.write_spectrum_csv(spectra[name], out_dir / f"{name}.csv")
 
-    for label, names in _REPORTS.items():
+    reports = {
+        "1d": tasks,
+        "2d": cavity,
+        "components": [f"cavity_pure_{n}" for n in matrices["cavity_pure"].layout.names],
+    }
+    for label, names in reports.items():
         report = analysis.compare([(n, spectra[n]) for n in names], (0.9999,))
         analysis.write_report_csv(report, out_dir / f"report_{label}.csv")
         analysis.write_verdicts_csv(report, out_dir / f"report_{label}_verdicts.csv")
@@ -258,31 +215,34 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p = sub.add_parser("gen-heat1d", help="1D heat-equation snapshots", formatter_class=fmt)
-    p.add_argument("--nodes", type=int, default=256, help="number of grid nodes")
-    p.add_argument("--snapshots", type=int, default=128, help="number of snapshot columns")
-    p.add_argument("--alpha", type=float, default=1.0, help="thermal diffusivity")
-    p.add_argument("--dt", type=float, default=1e-3, help="timestep")
+    # the grid, snapshot count and output path every 1D generator takes
+    gen1d = argparse.ArgumentParser(add_help=False)
+    gen1d.add_argument("--nodes", type=int, default=cases1d.N_NODES, help="number of grid nodes")
+    gen1d.add_argument("--snapshots", type=int, default=cases1d.N_SNAPS,
+                       help="number of snapshot columns")
+    gen1d.add_argument("--out", required=True, help="output SNAP1 path")
+
+    heat, ic = cases1d.Heat1DConfig, cases1d.InitialCondition1D
+    p = sub.add_parser("gen-heat1d", help="1D heat-equation snapshots", parents=[gen1d],
+                       formatter_class=fmt)
+    p.add_argument("--alpha", type=finite_float, default=heat.alpha, help="thermal diffusivity")
+    p.add_argument("--dt", type=finite_float, default=heat.dt, help="timestep")
     p.add_argument("--scheme", choices=("implicit_euler", "explicit_euler"),
-                   default="implicit_euler", help="time integration scheme")
-    p.add_argument("--ic-left", type=float, default=0.25, help="rectangle IC left edge")
-    p.add_argument("--ic-right", type=float, default=0.75, help="rectangle IC right edge")
-    p.add_argument("--ic-height", type=float, default=1.0, help="rectangle IC height")
-    p.add_argument("--out", required=True, help="output SNAP1 path")
+                   default=heat.scheme, help="time integration scheme")
+    p.add_argument("--ic-left", type=finite_float, default=ic.left, help="rectangle IC left edge")
+    p.add_argument("--ic-right", type=finite_float, default=ic.right,
+                   help="rectangle IC right edge")
+    p.add_argument("--ic-height", type=finite_float, default=ic.height, help="rectangle IC height")
     p.set_defaults(handler=_cmd_gen_heat1d)
 
-    p = sub.add_parser("gen-jump", help="advected-jump snapshots", formatter_class=fmt)
-    p.add_argument("--nodes", type=int, default=256, help="number of grid nodes")
-    p.add_argument("--snapshots", type=int, default=128, help="number of snapshot columns")
-    p.add_argument("--out", required=True, help="output SNAP1 path")
+    p = sub.add_parser("gen-jump", help="advected-jump snapshots", parents=[gen1d],
+                       formatter_class=fmt)
     p.set_defaults(handler=_cmd_gen_jump)
 
-    p = sub.add_parser("gen-sigmoid", help="advected-sigmoid snapshots", formatter_class=fmt)
-    p.add_argument("--nodes", type=int, default=256, help="number of grid nodes")
-    p.add_argument("--snapshots", type=int, default=128, help="number of snapshot columns")
-    p.add_argument("--steepness", type=float, default=cases1d.STEEP_K,
+    p = sub.add_parser("gen-sigmoid", help="advected-sigmoid snapshots", parents=[gen1d],
+                       formatter_class=fmt)
+    p.add_argument("--steepness", type=finite_float, default=cases1d.STEEP_K,
                    help="sigmoid front steepness k")
-    p.add_argument("--out", required=True, help="output SNAP1 path")
     p.set_defaults(handler=_cmd_gen_sigmoid)
 
     p = sub.add_parser("gen-cavity2d", help="2D freezing-cavity snapshots",
@@ -290,10 +250,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="cavity config file (key = value sections)")
     p.add_argument("--viscosity", choices=("mushy", "sharp_jump"), default=None,
                    help="override the config's viscosity model")
-    p.add_argument("--dt", type=float, default=None, help="override the config's timestep")
-    p.add_argument("--n-steps", type=int, default=None, help="override the config's step count")
-    p.add_argument("--snap-every", type=int, default=None,
-                   help="override the config's snapshot cadence")
     p.add_argument("--out", required=True, help="output SNAP1 path")
     p.set_defaults(handler=_cmd_gen_cavity2d)
 
@@ -311,7 +267,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="compare spectrum CSVs", formatter_class=fmt)
     p.add_argument("--in", dest="in_paths", nargs="+", required=True,
                    help="input spectrum CSV paths (case name = file stem)")
-    p.add_argument("--threshold", type=float, action="append", default=None,
+    p.add_argument("--threshold", type=finite_float, action="append", default=None,
                    help="energy threshold (repeatable; default 0.9999)")
     p.add_argument("--fit-lo", type=int, default=analysis.DEFAULT_FIT_RANGE[0],
                    help="first mode of the decay-fit range")

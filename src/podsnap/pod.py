@@ -163,7 +163,6 @@ def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:
     lam = lam[order]
     vecs = vecs[:, order]
     lam[lam < RANK_CLAMP * max(lam[0], 0.0)] = 0.0
-    lam[lam < 0.0] = 0.0
     sigma = np.sqrt(lam)[: min(m.n_dof, m.n_snaps)]
     positive = sigma > 0
     n_pos = int(np.count_nonzero(positive))

@@ -10,6 +10,7 @@ from .model import (
     default_pure_metal_config,
     initial_state,
     viscosity_of,
+    with_viscosity,
 )
 from .solver import CavitySolver, run_case
 from .configfile import parse_config_text, read_config, write_config
@@ -27,5 +28,6 @@ __all__ = [
     "read_config",
     "run_case",
     "viscosity_of",
+    "with_viscosity",
     "write_config",
 ]

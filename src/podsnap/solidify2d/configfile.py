@@ -4,7 +4,8 @@
 :data:`_SCHEMA` is the whole format: it maps each section's keys onto
 (dotted) :class:`SimConfig` field paths, and parsing, validation and
 :func:`config_text` are all derived from it. A value is read as an
-``int`` or ``str`` when its field is declared so, otherwise as a float.
+``int`` or ``str`` when its field is declared so, otherwise as a finite
+float.
 
 Every key is optional (defaults apply); unknown sections or keys are
 format errors.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import functools
+import math
 import typing
 
 from ..errors import FormatError
@@ -42,11 +44,19 @@ _SCHEMA = {
 }
 
 
+def finite_float(text: str) -> float:
+    """``float(text)``, with NaN and infinities rejected as ``ValueError``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _converter(path: str):
     field_type = SimConfig
     for name in path.split("."):
         field_type = typing.get_type_hints(field_type)[name]
-    return {int: int, str: str}.get(field_type, float)
+    return {int: int, str: str}.get(field_type, finite_float)
 
 
 _CONVERT = {path: _converter(path) for keys in _SCHEMA.values() for path in keys.values()}

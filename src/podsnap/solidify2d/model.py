@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -153,13 +153,17 @@ def initial_state(cfg: SimConfig) -> FlowState:
     )
 
 
+def with_viscosity(cfg: SimConfig, kind: str) -> SimConfig:
+    """``cfg`` with its viscosity model switched to ``kind``."""
+    return replace(cfg, viscosity=replace(cfg.viscosity, kind=kind))
+
+
 def default_mushy_config(**overrides) -> SimConfig:
     """Desk-scale alloy (mushy zone) case."""
     return SimConfig(**overrides)
 
 
 def default_pure_metal_config(**overrides) -> SimConfig:
-    """Desk-scale pure-metal case: identical to the mushy default except
-    for the viscosity model."""
-    overrides.setdefault("viscosity", ViscosityModel(kind="sharp_jump"))
-    return SimConfig(**overrides)
+    """Desk-scale pure-metal case: the same configuration with the
+    sharp-jump viscosity model."""
+    return with_viscosity(SimConfig(**overrides), "sharp_jump")

@@ -132,6 +132,12 @@ class TestCompare:
         with pytest.raises(ArgumentError):
             compare([("a", power_law_spectrum(-1.0))])
 
+    def test_repeated_threshold_reported_once(self):
+        named = [("a", power_law_spectrum(-1.0)), ("b", power_law_spectrum(-2.0))]
+        report = compare(named, thresholds=(0.99, 0.9, 0.99))
+        assert report.thresholds == (0.9, 0.99)
+        assert len(report.verdicts) == 2
+
     def test_short_spectra_fit_is_none(self):
         sa = PodSpectrum(np.array([1.0, 0.5]))
         sb = PodSpectrum(np.array([1.0, 0.25]))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import podsnap
 from podsnap.cli import build_parser, main
@@ -23,6 +24,16 @@ TINY_CAVITY = (
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def assert_every_option_echoed(verb, err):
+    """Each option ``verb`` parses shows up as a ``config: <dest> = `` line."""
+    verbs = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for dest in (a.dest for a in verbs[verb]._actions if a.dest != "help"):
+        assert f"config: {dest} = " in err, (verb, dest)
 
 
 class TestGenerationVerbs:
@@ -42,20 +53,20 @@ class TestGenerationVerbs:
         assert read_snap(heat).data.shape == (256, 128)
         assert read_snap(sig).data.shape == (256, 128)
 
-    def test_gen_cavity2d_with_config_and_override(self, tmp_path):
+    def test_gen_cavity2d_with_config_and_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "case.cfg"
         cfg_path.write_text(
             "[grid]\nnx = 12\nny = 12\n"
-            "[time]\ndt = 0.02\nn_steps = 20\n"
-            "[output]\nsnap_every = 10\n"
+            "[time]\ndt = 0.02\nn_steps = 10\n"
+            "[output]\nsnap_every = 5\n"
         )
         out = tmp_path / "cavity.snap"
         code = run_cli(
-            "gen-cavity2d", "--config", str(cfg_path),
-            "--viscosity", "sharp_jump", "--n-steps", "10", "--snap-every", "5",
+            "gen-cavity2d", "--config", str(cfg_path), "--viscosity", "sharp_jump",
             "--out", str(out),
         )
         assert code == 0
+        assert "config: viscosity_model = sharp_jump" in capsys.readouterr().err
         m = read_snap(out)
         assert m.n_snaps == 2
         assert m.layout.names == ("u", "v", "p", "T")
@@ -67,19 +78,24 @@ class TestGenerationVerbs:
         assert "config: nodes = 256" in err
         assert "config: snapshots = 128" in err
 
-    def test_every_1d_option_is_echoed(self, tmp_path, capsys):
-        # "every run echoes its resolved configuration": each option a
-        # 1D generator parses must show up as a config line
-        verbs = next(
-            action.choices for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        for verb in ("gen-heat1d", "gen-jump", "gen-sigmoid"):
-            dests = [a.dest for a in verbs[verb]._actions if a.dest != "help"]
-            assert run_cli(verb, "--out", str(tmp_path / f"{verb}.snap")) == 0
-            err = capsys.readouterr().err
-            for dest in dests:
-                assert f"config: {dest} = " in err, (verb, dest)
+    def test_every_option_is_echoed(self, tmp_path, capsys):
+        # "every run echoes its resolved configuration": each option a verb
+        # parses must show up as a config line (repro: see TestRepro)
+        cfg_path = tmp_path / "case.cfg"
+        cfg_path.write_text(TINY_CAVITY)
+        snap, csv = tmp_path / "cavity.snap", tmp_path / "cavity.csv"
+        runs = [
+            ("gen-heat1d", "--out", str(tmp_path / "heat.snap")),
+            ("gen-jump", "--out", str(tmp_path / "jump.snap")),
+            ("gen-sigmoid", "--out", str(tmp_path / "sigmoid.snap")),
+            ("gen-cavity2d", "--config", str(cfg_path), "--out", str(snap)),
+            ("pod", "--in", str(snap), "--out", str(csv), "--components", "all"),
+            ("analyze", "--in", str(csv), str(tmp_path / "cavity_u.csv"),
+             "--out", str(tmp_path / "report.csv")),
+        ]
+        for argv in runs:
+            assert run_cli(*argv) == 0, argv
+            assert_every_option_echoed(argv[0], capsys.readouterr().err)
 
     def test_deleted_config_key_is_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "old.cfg"
@@ -213,6 +229,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("error: (data)")
 
+    @pytest.mark.parametrize("flag", ["--dt", "--n-steps", "--snap-every"])
+    def test_deleted_cavity_flag_is_1(self, tmp_path, flag):
+        # [time] dt, [time] n_steps and [output] snap_every set these
+        cfg_path = tmp_path / "case.cfg"
+        cfg_path.write_text(TINY_CAVITY)
+        code = run_cli("gen-cavity2d", "--config", str(cfg_path), flag, "1",
+                       "--out", str(tmp_path / "c.snap"))
+        assert code == 1
+        assert not (tmp_path / "c.snap").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("gen-heat1d", "--alpha", "nan"),
+        ("gen-heat1d", "--dt", "inf"),
+        ("gen-heat1d", "--ic-height", "-inf"),
+        ("gen-sigmoid", "--steepness", "nan"),
+        ("analyze", "--in", "a.csv", "b.csv", "--threshold", "nan"),
+    ])
+    def test_non_finite_flag_is_1(self, tmp_path, capsys, argv):
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: (usage)")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_config_value_is_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text("[time]\ndt = nan\n")
+        code = run_cli("gen-cavity2d", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "c.snap"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: (data) bad value for 'dt': 'nan'"
+        )
+
     def test_help_exits_zero_and_lists_defaults(self, capsys):
         assert run_cli("gen-sigmoid", "--help") == 0
         out = capsys.readouterr().out
@@ -230,12 +279,15 @@ class TestExitCodes:
 
 
 class TestRepro:
-    def test_full_pipeline_desk_scale_shrunk(self, tmp_path):
+    def test_full_pipeline_desk_scale_shrunk(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.cfg"
         cfg_path.write_text(TINY_CAVITY)
         out_dir = tmp_path / "study"
         code = run_cli("repro", "--out-dir", str(out_dir), "--cavity-config", str(cfg_path))
         assert code == 0
+        err = capsys.readouterr().err
+        assert_every_option_echoed("repro", err)
+        assert "config: nx = 10" in err
         for stem in ("heat", "jump", "sigmoid_steep", "sigmoid_stretched",
                      "cavity_mushy", "cavity_pure"):
             assert (out_dir / f"{stem}.snap").exists()

@@ -488,6 +488,11 @@ class TestStepping:
             default_pure_metal_config(), viscosity=mushy.viscosity
         ) == mushy
 
+    def test_pure_default_keeps_sharp_jump_under_a_viscosity_override(self):
+        cfg = default_pure_metal_config(viscosity=ViscosityModel(mu_liquid=50.0))
+        assert cfg.viscosity.kind == "sharp_jump"
+        assert cfg.viscosity.mu_liquid == 50.0
+
 
 class TestTaylorGreen:
     """Free-slip Taylor-Green vortex on [0, pi]^2 with constant viscosity.
@@ -626,6 +631,15 @@ class TestConfigFile:
         # loudly instead of silently running without them
         with pytest.raises(FormatError, match=key):
             parse_config_text(f"[{section}]\n{key} = 1\n")
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [
+        ("time", "dt"), ("grid", "lx"), ("material", "jump_factor"),
+    ])
+    def test_non_finite_value_rejected(self, section, key, value):
+        with pytest.raises(FormatError, match=f"bad value for '{key}'"):
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
 
 
 class TestConfigValidation:
