@@ -3,7 +3,9 @@
 Computes the SVD ``X = U S V^T`` of a snapshot matrix either directly or
 via the method of snapshots (eigendecomposition of the small Gram matrix
 ``X^T X``), and provides energy-capture accounting, optimal truncation,
-and per-field splitting of multi-quantity matrices.
+and per-field splitting of multi-quantity matrices. Every reported
+number comes from the singular values alone, so :func:`decompose`
+computes the spectrum and leaves the modes until they are read.
 
 "Energy" throughout is the cumulative sum of squared singular values
 over their total; the spectrum normalization exposed to reports is
@@ -12,6 +14,7 @@ over their total; the spectrum normalization exposed to reports is
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,28 +68,42 @@ class EnergyReport:
 
 
 class PodBasis:
-    """Left singular vectors, scaled coefficients, and the spectrum.
+    """Spectrum, left singular vectors and scaled coefficients.
 
+    ``spectrum``, ``n_modes``, ``n_dof`` and ``n_snaps`` are set when the
+    basis is made. ``modes`` and ``coeffs`` come from ``factor()`` the
+    first time either is read, and are then checked and made read-only.
     ``modes`` has orthonormal columns; ``coeffs`` holds the rows of
     ``S V^T``, so ``modes @ coeffs`` reconstructs the snapshot matrix.
     The spectrum may be longer than the mode count when trailing
     singular values were clamped to zero (method of snapshots).
     """
 
-    def __init__(self, modes, coeffs, spectrum: PodSpectrum):
+    def __init__(self, spectrum: PodSpectrum, n_dof: int, n_snaps: int, n_modes: int, factor):
+        if n_modes > min(n_dof, n_snaps):
+            raise DimensionError("more modes than min(n_dof, n_snaps)")
+        if len(spectrum) < n_modes:
+            raise DimensionError("spectrum shorter than mode count")
+        self.spectrum = spectrum
+        self.n_dof = n_dof
+        self.n_snaps = n_snaps
+        self.n_modes = n_modes
+        self._factor = factor
+
+    @functools.cached_property
+    def _checked_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            modes, coeffs = self._factor()
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"mode computation did not converge: {exc}") from exc
         modes = np.asarray(modes, dtype=np.float64)
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        if modes.ndim != 2 or coeffs.ndim != 2:
-            raise DimensionError("modes and coeffs must be 2D")
-        r = modes.shape[1]
-        if coeffs.shape[0] != r:
+        r = self.n_modes
+        if modes.shape != (self.n_dof, r) or coeffs.shape != (r, self.n_snaps):
             raise DimensionError(
-                f"{r} modes but {coeffs.shape[0]} coefficient rows"
+                f"factor shapes {modes.shape} and {coeffs.shape} do not match "
+                f"{self.n_dof} dof, {r} modes and {self.n_snaps} snapshots"
             )
-        if r > min(modes.shape[0], coeffs.shape[1]):
-            raise DimensionError("more modes than min(n_dof, n_snaps)")
-        if len(spectrum) < r:
-            raise DimensionError("spectrum shorter than mode count")
         gram_defect = modes.T @ modes - np.eye(r)
         defect = float(np.linalg.norm(gram_defect))
         if defect > ORTHO_TOL:
@@ -95,21 +112,16 @@ class PodBasis:
             )
         modes.setflags(write=False)
         coeffs.setflags(write=False)
-        self.modes = modes
-        self.coeffs = coeffs
-        self.spectrum = spectrum
+        self._factor = None
+        return modes, coeffs
 
     @property
-    def n_modes(self) -> int:
-        return self.modes.shape[1]
+    def modes(self) -> np.ndarray:
+        return self._checked_factor[0]
 
     @property
-    def n_dof(self) -> int:
-        return self.modes.shape[0]
-
-    @property
-    def n_snaps(self) -> int:
-        return self.coeffs.shape[1]
+    def coeffs(self) -> np.ndarray:
+        return self._checked_factor[1]
 
     def reconstruct(self) -> np.ndarray:
         return self.modes @ self.coeffs
@@ -125,15 +137,17 @@ def _fix_signs(modes: np.ndarray, coeffs: np.ndarray) -> None:
 
 
 def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:
-    """POD of a snapshot matrix.
+    """POD of a snapshot matrix: the spectrum now, the modes on first read.
 
     Parameters
     ----------
     m : SnapshotMatrix
     method : {"auto", "direct", "method_of_snapshots"}
-        ``direct`` runs a dense thin SVD. ``method_of_snapshots``
-        solves the n_snaps x n_snaps Gram eigenproblem and lifts the
-        eigenvectors, which is much cheaper when n_dof >> n_snaps.
+        ``direct`` takes the spectrum from a values-only dense SVD; its
+        modes, on first read, come from a second, thin SVD with vectors.
+        The two LAPACK calls agree to round-off. ``method_of_snapshots``
+        solves the n_snaps x n_snaps Gram eigenproblem and, on first read,
+        lifts the eigenvectors, which is much cheaper when n_dof >> n_snaps.
         ``auto`` picks the method of snapshots when n_dof > 4 * n_snaps.
 
     Both methods share a deterministic sign convention (largest-
@@ -147,13 +161,18 @@ def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:
 
     if method == "direct":
         try:
-            modes, sigma, vt = np.linalg.svd(x, full_matrices=False)
+            sigma = np.linalg.svd(x, compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
-        coeffs = sigma[:, None] * vt
-        modes = np.ascontiguousarray(modes)
-        _fix_signs(modes, coeffs)
-        return PodBasis(modes, coeffs, PodSpectrum(sigma))
+
+        def factor():
+            modes, sigma_uv, vt = np.linalg.svd(x, full_matrices=False)
+            coeffs = sigma_uv[:, None] * vt
+            modes = np.ascontiguousarray(modes)
+            _fix_signs(modes, coeffs)
+            return modes, coeffs
+
+        return PodBasis(PodSpectrum(sigma), m.n_dof, m.n_snaps, sigma.size, factor)
 
     try:
         lam, vecs = np.linalg.eigh(x.T @ x)
@@ -169,15 +188,19 @@ def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:
     if n_pos == 0:
         raise DegenerateSpectrumError("matrix is numerically zero")
     v_pos = vecs[:, :n_pos]
-    lifted = (x @ v_pos) / sigma[:n_pos]
-    # lifting loses orthogonality near the clamp level; a QR pass
-    # restores it without rotating well-separated modes
-    modes, r_factor = np.linalg.qr(lifted)
-    flip = np.where(np.diag(r_factor) < 0, -1.0, 1.0)
-    modes = modes * flip
-    coeffs = sigma[:n_pos, None] * v_pos.T
-    _fix_signs(modes, coeffs)
-    return PodBasis(modes, coeffs, PodSpectrum(sigma))
+
+    def factor():
+        lifted = (x @ v_pos) / sigma[:n_pos]
+        # lifting loses orthogonality near the clamp level; a QR pass
+        # restores it without rotating well-separated modes
+        modes, r_factor = np.linalg.qr(lifted)
+        flip = np.where(np.diag(r_factor) < 0, -1.0, 1.0)
+        modes = modes * flip
+        coeffs = sigma[:n_pos, None] * v_pos.T
+        _fix_signs(modes, coeffs)
+        return modes, coeffs
+
+    return PodBasis(PodSpectrum(sigma), m.n_dof, m.n_snaps, n_pos, factor)
 
 
 def normalized_spectrum(s: PodSpectrum) -> np.ndarray:
@@ -205,7 +228,10 @@ def truncate(b: PodBasis, r: int) -> PodBasis:
     """Keep the first r modes (the optimal rank-r approximation)."""
     if not 1 <= r <= b.n_modes:
         raise ArgumentError(f"rank {r} outside [1, {b.n_modes}]")
-    return PodBasis(b.modes[:, :r], b.coeffs[:r, :], PodSpectrum(b.spectrum.sigma[:r]))
+    return PodBasis(
+        PodSpectrum(b.spectrum.sigma[:r]), b.n_dof, b.n_snaps, r,
+        lambda: (b.modes[:, :r], b.coeffs[:r, :]),
+    )
 
 
 def component_split(m: SnapshotMatrix) -> dict[str, SnapshotMatrix]:

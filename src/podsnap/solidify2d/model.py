@@ -111,6 +111,14 @@ class SimConfig:
             )
         if self.wall_tangential not in ("no_slip", "free_slip"):
             raise ArgumentError(f"unknown tangential condition {self.wall_tangential!r}")
+        # checked for both kinds: repro runs the mushy and the sharp-jump
+        # case from one config
+        mu = self.viscosity
+        if not np.isfinite(mu.mu_liquid * mu.jump_factor / min(self.grid.dx, self.grid.dy) ** 2):
+            raise ArgumentError(
+                f"mu_liquid * jump_factor / min(dx, dy)^2 overflows "
+                f"(mu_liquid = {mu.mu_liquid}, jump_factor = {mu.jump_factor})"
+            )
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,21 @@ class TestExitCodes:
             "error: (data) bad value for 'dt': 'nan'"
         )
 
+    def test_overflowing_viscosity_is_1(self, tmp_path, capsys):
+        # passed validation once, then exited 3 as a singular momentum factor
+        cfg_path = tmp_path / "viscous.cfg"
+        cfg_path.write_text(
+            "[grid]\nnx = 8\nny = 8\n[time]\nn_steps = 4\n[output]\nsnap_every = 2\n"
+            "[material]\nmu_liquid = 1e308\n"
+        )
+        code = run_cli("gen-cavity2d", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "c.snap"))
+        assert code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: (usage)")
+        assert "mu_liquid" in last and "jump_factor" in last
+        assert not (tmp_path / "c.snap").exists()
+
     def test_help_exits_zero_and_lists_defaults(self, capsys):
         assert run_cli("gen-sigmoid", "--help") == 0
         out = capsys.readouterr().out

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_snapshot_matrix
-from podsnap.errors import ArgumentError, DataError, DegenerateSpectrumError
+from podsnap import pod as pod_module
+from podsnap.errors import ArgumentError, DataError, DegenerateSpectrumError, NumericalError
 from podsnap.pod import (
+    RANK_CLAMP,
     PodSpectrum,
     component_split,
     decompose,
@@ -80,6 +82,110 @@ class TestDecompose:
         basis = decompose(m, "direct")
         norms = np.linalg.norm(basis.coeffs, axis=1)
         np.testing.assert_allclose(norms, basis.spectrum.sigma[:8], rtol=1e-12)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Names of the svd/eigh/qr calls made from inside ``pod``; an svd
+    entry reads ``svd_values`` when it asked for singular values only."""
+    calls = []
+    for name in ("svd", "eigh", "qr"):
+        original = getattr(np.linalg, name)
+
+        def record(*args, _name=name, _original=original, **kwargs):
+            values_only = _name == "svd" and not kwargs.get("compute_uv", True)
+            calls.append("svd_values" if values_only else _name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pod_module.np.linalg, name, record)
+    return calls
+
+
+class TestLazyModes:
+    """The spectrum is computed by decompose; modes and coeffs on first read."""
+
+    SPECTRUM_CALLS = {"direct": ["svd_values"], "method_of_snapshots": ["eigh"]}
+    FACTOR_CALLS = {"direct": ["svd"], "method_of_snapshots": ["qr"]}
+
+    @pytest.mark.parametrize("method", ["direct", "method_of_snapshots"])
+    def test_spectrum_reads_make_no_vector_call(self, linalg_calls, method):
+        m = random_snapshot_matrix(np.random.default_rng(3), 60, 8)
+        basis = decompose(m, method)
+        assert basis.spectrum.sigma.size == 8
+        assert (basis.n_modes, basis.n_dof, basis.n_snaps) == (8, 60, 8)
+        assert linalg_calls == self.SPECTRUM_CALLS[method]
+        basis.modes
+        basis.coeffs
+        assert linalg_calls == self.SPECTRUM_CALLS[method] + self.FACTOR_CALLS[method]
+
+    @pytest.mark.parametrize("method, name", [("direct", "svd"), ("method_of_snapshots", "qr")])
+    def test_non_orthonormal_factor_raises_on_first_read(self, monkeypatch, method, name):
+        original = getattr(np.linalg, name)
+
+        def perturbed(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if name == "svd" and not kwargs.get("compute_uv", True):
+                return out
+            return (out[0] * (1.0 + 1e-6),) + tuple(out[1:])
+
+        monkeypatch.setattr(pod_module.np.linalg, name, perturbed)
+        basis = decompose(random_snapshot_matrix(np.random.default_rng(4), 60, 8), method)
+        assert basis.n_modes == 8
+        with pytest.raises(NumericalError, match="not orthonormal"):
+            basis.modes
+        with pytest.raises(NumericalError, match="not orthonormal"):
+            basis.coeffs
+
+    @pytest.mark.parametrize("method", ["direct", "method_of_snapshots"])
+    def test_repeated_reads_return_the_same_read_only_arrays(self, method):
+        basis = decompose(random_snapshot_matrix(np.random.default_rng(5), 40, 6), method)
+        modes, coeffs = basis.modes, basis.coeffs
+        assert basis.modes is modes and basis.coeffs is coeffs
+        assert not modes.flags.writeable and not coeffs.flags.writeable
+
+    @pytest.mark.parametrize("method", ["direct", "method_of_snapshots"])
+    def test_truncate_of_unread_basis_reaches_eckart_young(self, linalg_calls, method):
+        m = random_snapshot_matrix(np.random.default_rng(6), 60, 12)
+        basis = decompose(m, method)
+        kept = truncate(basis, 3)
+        assert linalg_calls == self.SPECTRUM_CALLS[method]
+        err_sq = np.linalg.norm(kept.reconstruct() - m.data) ** 2
+        assert err_sq == pytest.approx(np.sum(basis.spectrum.sigma[3:] ** 2), rel=1e-8)
+        assert kept.modes.shape == (60, 3)
+        np.testing.assert_array_equal(kept.modes, basis.modes[:, :3])
+
+
+class TestSpectrumDrift:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["tall", "wide", "square", "rank_deficient"]),
+        size=st.integers(1, 12),
+        seed=st.integers(0, 2**31),
+    )
+    def test_direct_spectrum_matches_thin_svd(self, kind, size, seed):
+        n_dof, n_snaps, rank = {
+            "tall": (5 * size, size, None),
+            "wide": (size, 5 * size, None),
+            "square": (size, size, None),
+            "rank_deficient": (3 * size + 2, 2 * size + 2, max(1, size // 2)),
+        }[kind]
+        m = random_snapshot_matrix(np.random.default_rng(seed), n_dof, n_snaps, rank)
+        sigma = decompose(m, "direct").spectrum.sigma
+        reference = np.linalg.svd(m.data, full_matrices=False)[1]
+        np.testing.assert_allclose(sigma, reference, rtol=0, atol=1e-13 * reference[0])
+
+    def test_method_of_snapshots_spectrum_is_clamped_sqrt_eigh(self):
+        # column scales from 1 to 1e-9 put the trailing Gram eigenvalues
+        # below the clamp
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(80, 10)) * np.logspace(0, -9, 10)
+        lam, _ = np.linalg.eigh(data.T @ data)
+        lam = lam[np.argsort(lam)[::-1]]
+        lam[lam < RANK_CLAMP * max(lam[0], 0.0)] = 0.0
+        reference = np.sqrt(lam)[:10]
+        assert 0 < np.count_nonzero(reference == 0.0) < 10
+        sigma = decompose(matrix_from_array(data), "method_of_snapshots").spectrum.sigma
+        assert np.array_equal(sigma, reference)
 
 
 class TestNormalizedSpectrum:

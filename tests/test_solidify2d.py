@@ -658,3 +658,20 @@ class TestConfigValidation:
     def test_tangential_choices(self):
         with pytest.raises(ArgumentError):
             small_config(wall_tangential="slippery")
+
+    @pytest.mark.parametrize("kind", ["mushy", "sharp_jump"])
+    @pytest.mark.parametrize("mu_liquid, jump_factor", [(1e308, 1e6), (1e300, 1e10)])
+    def test_overflowing_viscous_coefficient_rejected(self, kind, mu_liquid, jump_factor):
+        # mu_liquid * jump_factor / min(dx, dy)^2 is inf: the solver would
+        # otherwise report the overflow as a singular momentum factor
+        viscosity = ViscosityModel(kind=kind, mu_liquid=mu_liquid, jump_factor=jump_factor)
+        with pytest.raises(ArgumentError, match="mu_liquid.*jump_factor"):
+            small_config(viscosity=viscosity)
+
+    def test_large_finite_viscous_coefficient_accepted(self):
+        viscosity = ViscosityModel(mu_liquid=1e290, jump_factor=1e6)
+        assert small_config(viscosity=viscosity).viscosity.mu_liquid == 1e290
+
+    def test_overflowing_viscosity_in_config_text_rejected(self):
+        with pytest.raises(ArgumentError, match="mu_liquid.*jump_factor"):
+            parse_config_text("[material]\nmu_liquid = 1e308\n")
