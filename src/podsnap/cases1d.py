@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .errors import ArgumentError, DataError, StabilityError
+from .errors import ArgumentError, DataError
 from .grids import Grid1D
 from .snapshots import FieldLayout, SnapshotMatrix, assemble
 
@@ -62,18 +62,14 @@ class InitialCondition1D:
 
 @dataclass(frozen=True)
 class Heat1DConfig:
-    """Heat equation run: du/dt = alpha * d2u/dx2, u = 0 on the boundary.
-
-    The explicit scheme is only accepted when dt satisfies its stability
-    bound dt <= dx^2 / (2 alpha); the implicit default has no such limit.
-    """
+    """Heat equation run: du/dt = alpha * d2u/dx2, u = 0 on the boundary,
+    marched by implicit Euler (unconditionally stable in dt)."""
 
     alpha: float = 1.0
     dt: float = 1e-3
     grid: Grid1D = field(default_factory=lambda: Grid1D(N_NODES))
     n_snaps: int = N_SNAPS
     ic: InitialCondition1D = field(default_factory=InitialCondition1D)
-    scheme: str = "implicit_euler"
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -82,15 +78,6 @@ class Heat1DConfig:
             raise ArgumentError(f"dt must be positive, got {self.dt}")
         if self.n_snaps < 1:
             raise ArgumentError(f"n_snaps must be at least 1, got {self.n_snaps}")
-        if self.scheme not in ("explicit_euler", "implicit_euler"):
-            raise ArgumentError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "explicit_euler":
-            limit = self.grid.spacing**2 / (2.0 * self.alpha)
-            if self.dt > limit:
-                raise StabilityError(
-                    f"explicit Euler needs dt <= dx^2 / (2 alpha) = {limit:.3e}, "
-                    f"got dt = {self.dt:.3e}"
-                )
 
 
 def solve_heat1d(cfg: Heat1DConfig) -> SnapshotMatrix:
@@ -107,20 +94,14 @@ def solve_heat1d(cfg: Heat1DConfig) -> SnapshotMatrix:
     u[0] = u[-1] = 0.0
     columns = [u.copy()]
 
-    if cfg.scheme == "implicit_euler":
-        # (I + r * tridiag(-1, 2, -1)) u_new = u_old on interior nodes
-        n_int = n - 2
-        bands = np.zeros((3, n_int))
-        bands[0, 1:] = -r
-        bands[1, :] = 1.0 + 2.0 * r
-        bands[2, :-1] = -r
-        for _ in range(cfg.n_snaps - 1):
-            u[1:-1] = scipy.linalg.solve_banded((1, 1), bands, u[1:-1])
-            columns.append(u.copy())
-    else:
-        for _ in range(cfg.n_snaps - 1):
-            u[1:-1] += r * (u[2:] - 2.0 * u[1:-1] + u[:-2])
-            columns.append(u.copy())
+    # (I + r * tridiag(-1, 2, -1)) u_new = u_old on interior nodes
+    bands = np.zeros((3, n - 2))
+    bands[0, 1:] = -r
+    bands[1, :] = 1.0 + 2.0 * r
+    bands[2, :-1] = -r
+    for _ in range(cfg.n_snaps - 1):
+        u[1:-1] = scipy.linalg.solve_banded((1, 1), bands, u[1:-1])
+        columns.append(u.copy())
 
     labels = cfg.dt * np.arange(cfg.n_snaps)
     layout = FieldLayout.single("u", n)

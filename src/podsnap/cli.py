@@ -71,8 +71,7 @@ def _check_distinct(inputs, outputs) -> None:
 def _cmd_gen_heat1d(args) -> None:
     ic = cases1d.InitialCondition1D(left=args.ic_left, right=args.ic_right, height=args.ic_height)
     cfg = cases1d.Heat1DConfig(
-        alpha=args.alpha, dt=args.dt, grid=Grid1D(args.nodes), n_snaps=args.snapshots,
-        ic=ic, scheme=args.scheme,
+        alpha=args.alpha, dt=args.dt, grid=Grid1D(args.nodes), n_snaps=args.snapshots, ic=ic
     )
     _echo(args)
     write_snap(cases1d.solve_heat1d(cfg), args.out)
@@ -227,8 +226,6 @@ def build_parser() -> _Parser:
                        formatter_class=fmt)
     p.add_argument("--alpha", type=finite_float, default=heat.alpha, help="thermal diffusivity")
     p.add_argument("--dt", type=finite_float, default=heat.dt, help="timestep")
-    p.add_argument("--scheme", choices=("implicit_euler", "explicit_euler"),
-                   default=heat.scheme, help="time integration scheme")
     p.add_argument("--ic-left", type=finite_float, default=ic.left, help="rectangle IC left edge")
     p.add_argument("--ic-right", type=finite_float, default=ic.right,
                    help="rectangle IC right edge")

@@ -84,17 +84,3 @@ class StaggeredGrid2D:
     @property
     def n_cells(self) -> int:
         return self.ny * self.nx
-
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, y) coordinates of cell centers as 1D arrays."""
-        x = (np.arange(self.nx) + 0.5) * self.dx
-        y = (np.arange(self.ny) + 0.5) * self.dy
-        return x, y
-
-    def u_locations(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, y) coordinates of u faces."""
-        return np.arange(self.nx + 1) * self.dx, (np.arange(self.ny) + 0.5) * self.dy
-
-    def v_locations(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, y) coordinates of v faces."""
-        return (np.arange(self.nx) + 0.5) * self.dx, np.arange(self.ny + 1) * self.dy

@@ -24,6 +24,7 @@ from .errors import (
     DataError,
     DegenerateSpectrumError,
     DimensionError,
+    FormatError,
     NumericalError,
 )
 from .snapshots import FieldLayout, SnapshotMatrix
@@ -281,18 +282,24 @@ def write_spectrum_csv(s: PodSpectrum, path) -> None:
 
 def read_spectrum_csv(path) -> PodSpectrum:
     """Parse a spectrum CSV written by :func:`write_spectrum_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "index,sigma,sigma_norm,cumulative_energy":
-            raise DataError(f"unexpected spectrum CSV header: {header!r}")
-        sigma = []
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataError(f"line {line_no}: expected 4 fields, got {len(parts)}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header, *rows = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: spectrum CSV is not UTF-8 text: {exc.reason}") from exc
+    if header.strip() != "index,sigma,sigma_norm,cumulative_energy":
+        raise DataError(f"{path}: unexpected spectrum CSV header {header.strip()!r}")
+    sigma = []
+    for line_no, line in enumerate(rows, start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise DataError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
+        try:
             sigma.append(float(parts[1]))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{line_no}: sigma {parts[1]!r} is not a number") from exc
     if not sigma:
-        raise DataError("spectrum CSV has no data rows")
+        raise DataError(f"{path}: spectrum CSV has no data rows")
     return PodSpectrum(np.asarray(sigma))

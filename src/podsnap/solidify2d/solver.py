@@ -208,7 +208,7 @@ class CavitySolver:
         self.dx, self.dy = g.dx, g.dy
         self._ghost = -1.0 if cfg.wall_tangential == "no_slip" else 1.0
         self._u_pattern = _Pattern(g.ny, g.nx - 1)
-        self._v_pattern = _Pattern(g.ny - 1, g.nx)
+        self._v_pattern = _Pattern(g.nx, g.ny - 1)
         self._build_poisson()
         self._build_temperature()
 
@@ -244,43 +244,24 @@ class CavitySolver:
     # ------------------------------------------------------------------
     # momentum
     # ------------------------------------------------------------------
-    def _stencil_u(self, ub, vb, mu) -> _Stencil:
-        """L = (conv - diff) / 2 acting on interior u faces (ny, nx-1)."""
-        mu_e = mu[:, 1:]
-        mu_w = mu[:, :-1]
+    def _stencil(self, wb, ob, mu, d_own, d_other) -> _Stencil:
+        """L = (conv - diff) / 2 on the interior faces normal to axis 1;
+        ``wb``/``d_own`` and ``ob``/``d_other`` convect along axes 1 and 0."""
         pad = np.pad(mu, ((1, 1), (0, 0)), mode="edge")
-        mu_n = 0.25 * (pad[1:-1, :-1] + pad[1:-1, 1:] + pad[2:, :-1] + pad[2:, 1:])
-        mu_s = 0.25 * (pad[:-2, :-1] + pad[:-2, 1:] + pad[1:-1, :-1] + pad[1:-1, 1:])
-        return self._combine(ub, vb, mu_e, mu_w, mu_n, mu_s, axis="u")
-
-    def _stencil_v(self, ub, vb, mu) -> _Stencil:
-        """L = (conv - diff) / 2 acting on interior v faces (ny-1, nx)."""
-        mu_n = mu[1:, :]
-        mu_s = mu[:-1, :]
-        pad = np.pad(mu, ((0, 0), (1, 1)), mode="edge")
-        mu_e = 0.25 * (pad[:-1, 1:-1] + pad[1:, 1:-1] + pad[:-1, 2:] + pad[1:, 2:])
-        mu_w = 0.25 * (pad[:-1, :-2] + pad[1:, :-2] + pad[:-1, 1:-1] + pad[1:, 1:-1])
-        return self._combine(ub, vb, mu_e, mu_w, mu_n, mu_s, axis="v")
-
-    def _combine(self, ub, vb, mu_e, mu_w, mu_n, mu_s, axis) -> _Stencil:
-        dx, dy = self.dx, self.dy
-        ce = mu_e / dx**2
-        cw = mu_w / dx**2
-        cn = mu_n / dy**2
-        cs = mu_s / dy**2
-        east = 0.5 * (ub / (2 * dx) - ce)
-        west = 0.5 * (-ub / (2 * dx) - cw)
-        north = 0.5 * (vb / (2 * dy) - cn)
-        south = 0.5 * (-vb / (2 * dy) - cs)
+        corner = 0.25 * (pad[:-1, :-1] + pad[:-1, 1:] + pad[1:, :-1] + pad[1:, 1:])
+        ce = mu[:, 1:] / d_own**2
+        cw = mu[:, :-1] / d_own**2
+        cn = corner[1:] / d_other**2
+        cs = corner[:-1] / d_other**2
+        east = 0.5 * (wb / (2 * d_own) - ce)
+        west = 0.5 * (-wb / (2 * d_own) - cw)
+        north = 0.5 * (ob / (2 * d_other) - cn)
+        south = 0.5 * (-ob / (2 * d_other) - cs)
         diag = 0.5 * (ce + cw + cn + cs)
         # fold the tangential wall ghost (ghost = sgn * interior) into
         # the diagonal on the two walls the component slides along
-        if axis == "u":
-            diag[0, :] += self._ghost * south[0, :]
-            diag[-1, :] += self._ghost * north[-1, :]
-        else:
-            diag[:, 0] += self._ghost * west[:, 0]
-            diag[:, -1] += self._ghost * east[:, -1]
+        diag[0, :] += self._ghost * south[0, :]
+        diag[-1, :] += self._ghost * north[-1, :]
         return _Stencil(diag, east, west, north, south)
 
     def _solve_component(self, stencil, pattern, old_interior, forcing, label):
@@ -294,43 +275,39 @@ class CavitySolver:
         out[pattern.perm] = sol
         return out.reshape(old_interior.shape)
 
+    def _component(self, w, wbar, obar, p, mu, forcing, d_own, d_other, pattern, label):
+        """Tentative field of the component ``w`` whose faces are normal to
+        array axis 1; ``wbar`` and ``obar`` are the convecting velocities
+        of this and the other component. Wall faces keep their values."""
+        ob = 0.25 * (obar[:-1, :-1] + obar[:-1, 1:] + obar[1:, :-1] + obar[1:, 1:])
+        grad = (p[:, 1:] - p[:, :-1]) / d_own
+        stencil = self._stencil(wbar[:, 1:-1], ob, mu, d_own, d_other)
+        out = w.copy()
+        out[:, 1:-1] = self._solve_component(stencil, pattern, w[:, 1:-1], forcing - grad, label)
+        return out
+
     def tentative_velocity(self, state: FlowState):
         """Implicit momentum predictor; returns (u_tent, v_tent).
 
         Wall-normal faces stay at zero (impermeable box); the pressure
         gradient of the current guess and buoyancy enter the right-hand
-        side.
+        side. The predictor is written once, for u; v is solved as the u
+        problem on transposed fields, with dx and dy swapped.
         """
         cfg = self.cfg
-        dx, dy = self.dx, self.dy
         mu = viscosity_of(cfg.viscosity, state.temp)
         if state.step == 0:
             ubar, vbar = state.u, state.v
         else:
             ubar = 1.5 * state.u - 0.5 * state.u_prev
             vbar = 1.5 * state.v - 0.5 * state.v_prev
-
-        # u faces i = 1..nx-1
-        ub = ubar[:, 1:-1]
-        vb = 0.25 * (vbar[:-1, :-1] + vbar[:-1, 1:] + vbar[1:, :-1] + vbar[1:, 1:])
-        grad_px = (state.p_star[:, 1:] - state.p_star[:, :-1]) / dx
-        u_tent = state.u.copy()
-        u_tent[:, 1:-1] = self._solve_component(
-            self._stencil_u(ub, vb, mu), self._u_pattern, state.u[:, 1:-1], -grad_px, "u-momentum"
-        )
-
-        # v faces j = 1..ny-1
-        vb2 = vbar[1:-1, :]
-        ub2 = 0.25 * (ubar[:-1, :-1] + ubar[:-1, 1:] + ubar[1:, :-1] + ubar[1:, 1:])
-        grad_py = (state.p_star[1:, :] - state.p_star[:-1, :]) / dy
         t_face = 0.5 * (state.temp[:-1, :] + state.temp[1:, :])
         buoyancy = cfg.buoyancy_coeff * (t_face - cfg.t_ref)
-        v_tent = state.v.copy()
-        v_tent[1:-1, :] = self._solve_component(
-            self._stencil_v(ub2, vb2, mu), self._v_pattern, state.v[1:-1, :],
-            -grad_py + buoyancy, "v-momentum",
-        )
-        return u_tent, v_tent
+        u_tent = self._component(state.u, ubar, vbar, state.p_star, mu, 0.0,
+                                 self.dx, self.dy, self._u_pattern, "u-momentum")
+        v_tent = self._component(state.v.T, vbar.T, ubar.T, state.p_star.T, mu.T, buoyancy.T,
+                                 self.dy, self.dx, self._v_pattern, "v-momentum")
+        return u_tent, v_tent.T
 
     def velocity_update(self, u_tent, v_tent, phi):
         """Apply the correction: u <- u_tent - dt grad(phi).

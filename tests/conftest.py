@@ -1,5 +1,7 @@
-"""Shared fixtures: the 1D reference snapshot matrices."""
+"""Shared fixtures: the 1D reference snapshot matrices, and the exact
+Taylor-Green vortex."""
 
+import numpy as np
 import pytest
 
 from podsnap.cases1d import Heat1DConfig, gen_advected_jump, gen_sigmoid, solve_heat1d
@@ -37,3 +39,17 @@ def random_snapshot_matrix(rng, n_dof, n_snaps, rank=None):
     else:
         data = rng.normal(size=(n_dof, rank)) @ rng.normal(size=(rank, n_snaps))
     return matrix_from_array(data)
+
+
+def taylor_green(grid, nu, t):
+    """Exact free-slip Taylor-Green vortex on ``grid`` at time ``t``:
+    u = sin(x) cos(y) e^{-2 nu t}, v = -cos(x) sin(y) e^{-2 nu t} and
+    p = (cos 2x + cos 2y)/4 e^{-4 nu t}, sampled at the u faces, v faces
+    and cell centers of the staggered grid. Returns (u, v, p)."""
+    x_face, y_face = np.arange(grid.nx + 1) * grid.dx, np.arange(grid.ny + 1) * grid.dy
+    x_cell, y_cell = (np.arange(grid.nx) + 0.5) * grid.dx, (np.arange(grid.ny) + 0.5) * grid.dy
+    decay = np.exp(-2.0 * nu * t)
+    u = np.sin(x_face)[None, :] * np.cos(y_cell)[:, None] * decay
+    v = -np.cos(x_cell)[None, :] * np.sin(y_face)[:, None] * decay
+    p = 0.25 * (np.cos(2 * x_cell)[None, :] + np.cos(2 * y_cell)[:, None]) * decay**2
+    return u, v, p

@@ -44,6 +44,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import taylor_green
 from podsnap.analysis import fit_decay
 from podsnap.cases1d import Heat1DConfig, solve_heat1d
 from podsnap.grids import StaggeredGrid2D
@@ -315,20 +316,8 @@ class TestCriterion6SolverSuite:
                 initial_temp=700.0, t_ref=700.0, wall_tangential="free_slip",
             )
             solver = CavitySolver(cfg)
-            xu, yu = grid.u_locations()
-            xv, yv = grid.v_locations()
-            xc, yc = grid.cell_centers()
-
-            def exact(t):
-                decay = np.exp(-2 * nu * t)
-                return (
-                    np.sin(xu)[None, :] * np.cos(yu)[:, None] * decay,
-                    -np.cos(xv)[None, :] * np.sin(yv)[:, None] * decay,
-                    0.25 * (np.cos(2 * xc)[None, :] + np.cos(2 * yc)[:, None]) * decay**2,
-                )
-
-            u0, v0, p0 = exact(0.0)
-            um, vm, _ = exact(-dt)
+            u0, v0, p0 = taylor_green(grid, nu, 0.0)
+            um, vm, _ = taylor_green(grid, nu, -dt)
             state = FlowState(
                 u=u0, v=v0, p_star=p0,
                 temp=np.full(grid.cell_shape, 700.0), u_prev=um, v_prev=vm,

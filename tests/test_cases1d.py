@@ -12,7 +12,7 @@ from podsnap.cases1d import (
     gen_sigmoid,
     solve_heat1d,
 )
-from podsnap.errors import ArgumentError, DataError, StabilityError
+from podsnap.errors import ArgumentError
 from podsnap.grids import Grid1D
 from podsnap.pod import decompose, modes_for_energy
 
@@ -38,14 +38,13 @@ class TestHeatSolver:
         assert m.data.min() >= 0.0
         assert m.data.max() <= 1.0
 
-    @pytest.mark.parametrize("scheme", ["implicit_euler", "explicit_euler"])
-    def test_matches_matrix_exponential_oracle(self, scheme):
+    def test_matches_matrix_exponential_oracle(self):
         # 8-node grid: interior Laplacian is 6x6; u(t) = expm(t alpha L) u0
         grid = Grid1D(8)
         alpha, dt, steps = 1.0, 2e-6, 10
         cfg = Heat1DConfig(
             alpha=alpha, dt=dt, grid=grid, n_snaps=steps + 1,
-            ic=InitialCondition1D(left=0.3, right=0.7, height=2.0), scheme=scheme,
+            ic=InitialCondition1D(left=0.3, right=0.7, height=2.0),
         )
         m = solve_heat1d(cfg)
         dx = grid.spacing
@@ -59,18 +58,6 @@ class TestHeatSolver:
         exact = expm(steps * dt * alpha * lap) @ u0
         err = np.linalg.norm(m.data[1:-1, steps] - exact) / np.linalg.norm(exact)
         assert err <= 1e-6
-
-    def test_explicit_unstable_dt_rejected(self):
-        # the nominal alpha = 1, dt = 1e-3 pairing violates the explicit
-        # bound dx^2 / (2 alpha) ~ 7.7e-6 on a 256-node unit grid
-        with pytest.raises(StabilityError) as err:
-            Heat1DConfig(scheme="explicit_euler")
-        assert "dx^2" in str(err.value)
-
-    def test_explicit_stable_dt_accepted(self):
-        cfg = Heat1DConfig(scheme="explicit_euler", dt=7e-6, n_snaps=4)
-        m = solve_heat1d(cfg)
-        assert m.data.shape == (256, 4)
 
     def test_labels_are_step_times(self):
         cfg = Heat1DConfig(dt=0.5, n_snaps=4)

@@ -184,12 +184,16 @@ class TestExitCodes:
         bad.write_bytes(b"JUNKJUNK" + b"\x00" * 32)
         assert run_cli("pod", "--in", str(bad), "--out", str(tmp_path / "s.csv")) == 2
 
-    def test_numerical_error_is_3(self, tmp_path):
-        # nominal heat parameters violate the explicit stability bound
-        code = run_cli(
-            "gen-heat1d", "--scheme", "explicit_euler", "--out", str(tmp_path / "h.snap")
-        )
+    def test_numerical_error_is_3(self, tmp_path, capsys):
+        # dt = 5 on an 8x8 cavity breaks the advective CFL bound on step 1
+        cfg_path = tmp_path / "case.cfg"
+        cfg_path.write_text("[grid]\nnx = 8\nny = 8\n[time]\ndt = 5\nn_steps = 4\n")
+        out = tmp_path / "c.snap"
+        code = run_cli("gen-cavity2d", "--config", str(cfg_path), "--out", str(out))
         assert code == 3
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: (numerical)") and "advective CFL number" in last
+        assert not out.exists()
 
     def test_output_colliding_with_input_is_1(self, tmp_path):
         snap = tmp_path / "jump.snap"
@@ -276,6 +280,25 @@ class TestExitCodes:
         assert last.startswith("error: (usage)")
         assert "mu_liquid" in last and "jump_factor" in last
         assert not (tmp_path / "c.snap").exists()
+
+    @pytest.mark.parametrize("verb, name, content", [
+        ("analyze", "s.csv", b"index,sigma,sigma_norm,cumulative_energy\n1,abc,1,1\n"),
+        ("analyze", "s.csv", b"index,sigma,sigma_norm,cumulative_energy\n1,\xff,1,1\n"),
+        ("gen-cavity2d", "case.cfg", b"\xff\xfe[grid]"),
+    ], ids=["non-numeric-sigma", "non-utf8-csv", "non-utf8-config"])
+    def test_malformed_text_input_is_2(self, tmp_path, verb, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        flag = "--in" if verb == "analyze" else "--config"
+        src = str(pathlib.Path(podsnap.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "podsnap.cli", verb, flag, str(path),
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1].startswith("error: (data)")
+        assert "Traceback" not in proc.stderr
 
     def test_help_exits_zero_and_lists_defaults(self, capsys):
         assert run_cli("gen-sigmoid", "--help") == 0

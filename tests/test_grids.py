@@ -27,18 +27,6 @@ class TestStaggeredGrid2D:
         assert grid.n_u == 15 and grid.n_v == 16 and grid.n_cells == 12
         assert grid.dx == 0.5 and grid.dy == 0.5
 
-    def test_locations(self):
-        grid = StaggeredGrid2D(2, 2)
-        xc, yc = grid.cell_centers()
-        np.testing.assert_allclose(xc, [0.25, 0.75])
-        np.testing.assert_allclose(yc, [0.25, 0.75])
-        xu, yu = grid.u_locations()
-        np.testing.assert_allclose(xu, [0.0, 0.5, 1.0])
-        np.testing.assert_allclose(yu, [0.25, 0.75])
-        xv, yv = grid.v_locations()
-        np.testing.assert_allclose(xv, [0.25, 0.75])
-        np.testing.assert_allclose(yv, [0.0, 0.5, 1.0])
-
     def test_validation(self):
         with pytest.raises(ArgumentError):
             StaggeredGrid2D(1, 4)

@@ -1,15 +1,18 @@
-"""The benchmark in ``perfbench/`` imports and patches package names; a
-rename or deletion of one fails here rather than only in a benchmark run."""
+"""The benchmark in ``perfbench/`` imports and patches package names and
+freezes outputs; a rename, a deletion or a moved output fails here rather
+than only in a benchmark run."""
 
 import importlib.util
 import pathlib
 
 import numpy as np
+import pytest
 
 from podsnap import cli, pod
 from podsnap.snapshots import matrix_from_array
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def load(name):
@@ -42,3 +45,16 @@ def test_traced_spectrum_reads_do_not_force_the_factor():
     assert names.count("pod.linalg.svd") == 1
     direct_call = names.index("pod.decompose")
     assert tracer.spans[names.index("pod.linalg.svd")][spans.PARENT] == direct_call
+
+
+@pytest.mark.slow
+def test_one_iteration_meets_the_frozen_outputs(tmp_path, monkeypatch):
+    # repro-small runs the CLI in a child process, which must import this checkout
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    workloads = load("workloads")
+    for workload in (workloads.CavityDesk(0, tmp_path), workloads.ReproSmall(0, tmp_path)):
+        workload.prepare()
+        checks = workloads.Checks()
+        outputs, _ = workload.run(None)
+        workload.check(outputs, checks)
+        assert checks.failed == 0, (workload.name, checks.messages)
