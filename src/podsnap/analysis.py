@@ -98,8 +98,8 @@ class SpectrumReport:
     verdicts: tuple[tuple[str, str, float, str], ...]
 
 
-def compare(named_spectra, thresholds=(0.9999,), fit_range=DEFAULT_FIT_RANGE) -> SpectrumReport:
-    """Summarize and cross-rank named spectra.
+def compare(named_spectra, thresholds=(0.9999,)) -> SpectrumReport:
+    """Summarize and cross-rank named spectra, fitting over ``DEFAULT_FIT_RANGE``.
 
     Parameters
     ----------
@@ -122,7 +122,7 @@ def compare(named_spectra, thresholds=(0.9999,), fit_range=DEFAULT_FIT_RANGE) ->
         fits = {}
         for model in ("loglog", "semilog"):
             try:
-                fits[model] = fit_decay(spectrum, model, fit_range)
+                fits[model] = fit_decay(spectrum, model)
             except DegenerateSpectrumError:
                 fits[model] = None
         cases.append(CaseSummary(name, needed, fits["loglog"], fits["semilog"]))

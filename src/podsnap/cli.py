@@ -129,7 +129,7 @@ def _cmd_analyze(args) -> None:
     _echo(args)
     _check_distinct(args.in_paths, [args.out, args.verdicts_out])
     named = [(pathlib.Path(p).stem, pod.read_spectrum_csv(p)) for p in args.in_paths]
-    report = analysis.compare(named, args.threshold, fit_range=(args.fit_lo, args.fit_hi))
+    report = analysis.compare(named, args.threshold)
     analysis.write_report_csv(report, args.out)
     analysis.write_verdicts_csv(report, args.verdicts_out)
 
@@ -266,10 +266,6 @@ def build_parser() -> _Parser:
                    help="input spectrum CSV paths (case name = file stem)")
     p.add_argument("--threshold", type=finite_float, action="append", default=None,
                    help="energy threshold (repeatable; default 0.9999)")
-    p.add_argument("--fit-lo", type=int, default=analysis.DEFAULT_FIT_RANGE[0],
-                   help="first mode of the decay-fit range")
-    p.add_argument("--fit-hi", type=int, default=analysis.DEFAULT_FIT_RANGE[1],
-                   help="last mode of the decay-fit range")
     p.add_argument("--out", required=True, help="output report CSV path")
     p.add_argument("--verdicts-out", default=None,
                    help="output verdicts CSV path (default: <out>_verdicts.csv)")

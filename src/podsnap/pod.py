@@ -300,6 +300,7 @@ def read_spectrum_csv(path) -> PodSpectrum:
             sigma.append(float(parts[1]))
         except ValueError as exc:
             raise FormatError(f"{path}:{line_no}: sigma {parts[1]!r} is not a number") from exc
-    if not sigma:
-        raise DataError(f"{path}: spectrum CSV has no data rows")
-    return PodSpectrum(np.asarray(sigma))
+    try:
+        return PodSpectrum(np.asarray(sigma))
+    except (DataError, DimensionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

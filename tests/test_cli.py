@@ -300,6 +300,21 @@ class TestExitCodes:
         assert proc.stderr.splitlines()[-1].startswith("error: (data)")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("sigma, message", [
+        (("nan", "1"), "spectrum contains non-finite values"),
+        (("1", "2"), "singular values must be non-increasing"),
+        ((), "spectrum needs at least one value"),
+    ], ids=["non-finite", "increasing", "no-rows"])
+    def test_invalid_spectrum_names_its_file_and_is_2(self, tmp_path, capsys, sigma, message):
+        header = "index,sigma,sigma_norm,cumulative_energy\n"
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(header + "".join(f"{i},{s},1,1\n" for i, s in enumerate(sigma, 1)))
+        good.write_text(header + "1,2,1,1\n2,1,1,1\n")
+        out = tmp_path / "report.csv"
+        assert run_cli("analyze", "--in", str(bad), str(good), "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: (data) {bad}: {message}"
+        assert not out.exists()
+
     def test_help_exits_zero_and_lists_defaults(self, capsys):
         assert run_cli("gen-sigmoid", "--help") == 0
         out = capsys.readouterr().out

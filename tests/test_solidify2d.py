@@ -296,14 +296,15 @@ class TestMomentumSystems:
         solver_module._mmd_position.cache_clear()
         cfg = small_config(grid=StaggeredGrid2D(9, 7))
         CavitySolver(cfg)
-        # u and v probes, then the Poisson and temperature factors
-        assert calls == ["MMD_AT_PLUS_A"] * 4
+        # u and v probes, then the temperature factor; Poisson factors nothing
+        assert calls == ["MMD_AT_PLUS_A"] * 3
+        # the probes are cached: a second solver on this grid pays only its own factor
         CavitySolver(dataclasses.replace(cfg, wall_tangential="free_slip"))
-        assert calls == ["MMD_AT_PLUS_A"] * 6
+        assert calls == ["MMD_AT_PLUS_A"] * 4
         # on a square grid the transposed v interior has u's shape: one probe
         calls.clear()
         CavitySolver(small_config(grid=StaggeredGrid2D(8, 8)))
-        assert calls == ["MMD_AT_PLUS_A"] * 3
+        assert calls == ["MMD_AT_PLUS_A"] * 2
 
     @pytest.mark.parametrize("tangential", ["no_slip", "free_slip"])
     @pytest.mark.parametrize("component", ["u", "v"])
@@ -373,8 +374,10 @@ class TestPressureCorrection:
         phi = solver.pressure_correction(u, v)
         assert np.max(np.abs(phi)) <= 1e-12
 
-    def test_matches_dense_oracle_8x8(self):
-        grid = StaggeredGrid2D(8, 8)
+    @pytest.mark.parametrize("grid", [
+        StaggeredGrid2D(8, 8), StaggeredGrid2D(6, 9, lx=1.3, ly=0.7), StaggeredGrid2D(2, 3),
+    ], ids=["8x8", "6x9-anisotropic", "2x3"])
+    def test_matches_dense_oracle(self, grid):
         cfg = small_config(grid=grid)
         solver = CavitySolver(cfg)
         rng = np.random.default_rng(42)
@@ -386,7 +389,7 @@ class TestPressureCorrection:
 
         # dense 5-point Neumann Laplacian, assembled independently;
         # lstsq returns the zero-mean representative
-        nx = ny = 8
+        nx, ny = grid.nx, grid.ny
         dx, dy = grid.dx, grid.dy
         n = nx * ny
         dense = np.zeros((n, n))
@@ -403,12 +406,18 @@ class TestPressureCorrection:
         rhs = (div / cfg.dt).ravel()
         phi_oracle = np.linalg.lstsq(dense, rhs, rcond=None)[0].reshape(ny, nx)
         assert np.max(np.abs(phi - phi_oracle)) <= 1e-10 * max(1.0, np.max(np.abs(phi_oracle)))
-        # the assembled operator is exactly that Laplacian, bordered by the
-        # zero-mean row and column
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = dense
-        bordered[n, :n] = bordered[:n, n] = 1.0
-        assert np.array_equal(solver._poisson_matrix.toarray(), bordered)
+
+    def test_residual_check_rejects_inaccurate_eigenvalues(self):
+        cfg = small_config()
+        solver = CavitySolver(cfg)
+        rng = np.random.default_rng(8)
+        u = rng.normal(size=cfg.grid.u_shape)
+        v = rng.normal(size=cfg.grid.v_shape)
+        solver._poisson_eig = solver._poisson_eig * (1.0 + 1e-6)
+        with pytest.raises(NumericalError) as err:
+            solver.pressure_correction(u, v)
+        assert "pressure Poisson solve did not reach tolerance" in str(err.value)
+        assert err.value.residual > 1e-10
 
     def test_zero_mean_and_rhs_constant_invariance(self):
         cfg = small_config()
