@@ -14,10 +14,11 @@ momentum systems linear), and buoyancy is ``g beta (T^{n-1} - t_ref)``
 on vertical faces. On this grid the discrete projection is exact, so
 the corrected velocity is divergence-free to solver precision.
 
-All three implicit operators are five-point stencils. The DCT-II
-diagonalises the Neumann pressure Laplacian on this uniform grid
-(Schumann & Sweet 1976), so Poisson is solved in that eigenbasis;
-temperature is factored once and momentum every step.
+All three implicit operators are five-point stencils. The pressure and
+temperature operators have constant coefficients on this uniform grid,
+so each is a 1D operator along y plus one along x, solved by fast
+diagonalisation in the eigenbases of the two (Lynch, Rice & Thomas
+1964); momentum is factored every step.
 """
 
 from __future__ import annotations
@@ -25,20 +26,19 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from ..errors import NumericalError, StabilityError
 from ..snapshots import FieldLayout, SnapshotMatrix, assemble
 from .model import FlowState, SimConfig, initial_state, viscosity_of
 
 DIV_TOL = 1e-8
-POISSON_TOL = 1e-10
-MOMENTUM_TOL = 1e-10
-# minimum-degree column ordering on A^T + A: every operator factorized
-# here is structurally symmetric, and on the momentum systems this cuts
-# LU fill by about 40 % against the default COLAMD
+SOLVE_TOL = 1e-10
+# minimum-degree column ordering on A^T + A: the momentum systems are
+# structurally symmetric, and on them this cuts LU fill by about 40 %
+# against the default COLAMD
 _PERMC_SPEC = "MMD_AT_PLUS_A"
 # the momentum systems arrive already symmetrically permuted into that
 # ordering (see _Pattern), so their per-step factor keeps the natural
@@ -153,23 +153,6 @@ class _Stencil:
         )
 
 
-def _neumann(ny, nx, cx, cy, shift) -> _Stencil:
-    """Homogeneous-Neumann five-point operator of an ny*nx cell field.
-
-    Couplings ``cx`` (east/west) and ``cy`` (north/south); the diagonal is
-    ``shift`` minus the couplings that exist, so a wall cell simply drops
-    its missing neighbour (zero normal gradient).
-    """
-    diag = np.full((ny, nx), shift)
-    diag[:, :-1] -= cx
-    diag[:, 1:] -= cx
-    diag[:-1, :] -= cy
-    diag[1:, :] -= cy
-    east = np.full((ny, nx), cx)
-    north = np.full((ny, nx), cy)
-    return _Stencil(diag, east, east, north, north)
-
-
 def _factor(matrix, label, **options):
     """SuperLU factor of ``matrix``; a failure raises :class:`NumericalError`."""
     try:
@@ -189,19 +172,51 @@ def _check_residual(sol, residual, rhs, tol, label):
         )
 
 
+def _second_difference(n, d):
+    """Dense ``-d^2/dx^2`` on n cells of width d with homogeneous-Neumann
+    ends: a wall cell simply drops its missing neighbour."""
+    off = np.full(n - 1, -1.0 / (d * d))
+    a = np.diag(off, 1) + np.diag(off, -1)
+    np.fill_diagonal(a, -a.sum(axis=1))
+    return a
+
+
+class _Separable:
+    """``shift + A_y (x) I + I (x) A_x`` on an ny*nx field, from two
+    symmetric tridiagonal 1D operators ``ay`` (along axis 0) and ``ax``.
+
+    Solved by fast diagonalisation (Lynch, Rice & Thomas 1964): with each
+    ``A = Q diag(lam) Q^T``, ``f -> Q_y (Q_y^T f Q_x / eig) Q_x^T`` where
+    ``eig = shift + lam_y + lam_x``; every solve is residual-checked.
+    """
+
+    def __init__(self, ay, ax, shift, label):
+        self.ay, self.ax, self.shift, self.label = ay, ax, shift, label
+        lam_y, self.qy = eigh_tridiagonal(np.diag(ay), np.diag(ay, 1))
+        lam_x, self.qx = eigh_tridiagonal(np.diag(ax), np.diag(ax, 1))
+        self.eig = shift + lam_y[:, None] + lam_x[None, :]
+
+    def apply(self, f):
+        return self.shift * f + self.ay @ f + f @ self.ax
+
+    def solve(self, rhs):
+        sol = self.qy @ ((self.qy.T @ rhs @ self.qx) / self.eig) @ self.qx.T
+        _check_residual(sol, self.apply(sol) - rhs, rhs, SOLVE_TOL, self.label)
+        return sol
+
+
 class CavitySolver:
     """Holds the grid operators and advances :class:`FlowState` objects.
 
-    The Poisson and temperature operators are :func:`_neumann` stencils;
-    Poisson is solved by DCT from its eigenvalue table, and temperature
-    is factorized once at construction. The momentum stencils change with
-    the viscosity field and are refactorized every step: each is filled
-    into a CSC pattern already symmetrically permuted into the grid's
-    shared ``MMD_AT_PLUS_A`` ordering (``1/dt`` added on its diagonal)
-    and factored in natural order with single-column panels; the
-    right-hand side is permuted in and the solution out. Every factor
-    goes through :func:`_factor`, and the Poisson and momentum solves
-    through the residual check of :func:`_check_residual`.
+    The pressure and temperature operators are :class:`_Separable`, built
+    from Neumann :func:`_second_difference` matrices at construction. The
+    momentum stencils change with the viscosity field and are
+    refactorized every step: each is filled into a CSC pattern already
+    symmetrically permuted into the grid's shared ``MMD_AT_PLUS_A``
+    ordering (``1/dt`` added on its diagonal) and factored in natural
+    order with single-column panels; the right-hand side is permuted in
+    and the solution out. Every factor goes through :func:`_factor`, and
+    every solve through the residual check of :func:`_check_residual`.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -211,33 +226,28 @@ class CavitySolver:
         self._ghost = -1.0 if cfg.wall_tangential == "no_slip" else 1.0
         self._u_pattern = _Pattern(g.ny, g.nx - 1)
         self._v_pattern = _Pattern(g.nx, g.ny - 1)
-        self._build_poisson()
-        self._build_temperature()
+        ay, ax = _second_difference(g.ny, g.dy), _second_difference(g.nx, g.dx)
+        self._pressure = _Separable(ay, ax, 0.0, "pressure Poisson")
+        # the constant mode comes first in ascending order; an infinite
+        # eigenvalue there keeps phi zero-mean
+        self._pressure.eig[0, 0] = np.inf
+        k, wall = cfg.thermal_diffusivity, cfg.right_wall
+        ax = k * ax
+        ax[-1, -1] += wall.h / g.dx
+        self._temperature = _Separable(k * ay, ax, 1.0 / cfg.dt, "temperature")
 
     # ------------------------------------------------------------------
     # pressure correction
     # ------------------------------------------------------------------
-    def _build_poisson(self):
-        ny, nx = self.cfg.grid.cell_shape
-        dx2, dy2 = self.dx * self.dx, self.dy * self.dy
-        self._laplacian = _neumann(ny, nx, 1.0 / dx2, 1.0 / dy2, 0.0)
-        # its eigenvalues on the DCT-II modes; an infinite constant mode keeps phi zero-mean
-        eig_y = (2.0 * np.cos(np.pi * np.arange(ny) / ny) - 2.0) / dy2
-        eig_x = (2.0 * np.cos(np.pi * np.arange(nx) / nx) - 2.0) / dx2
-        self._poisson_eig = eig_y[:, None] + eig_x[None, :]
-        self._poisson_eig[0, 0] = np.inf
-
     def divergence(self, u, v) -> np.ndarray:
         return (u[:, 1:] - u[:, :-1]) / self.dx + (v[1:, :] - v[:-1, :]) / self.dy
 
     def pressure_correction(self, u_tent, v_tent) -> np.ndarray:
         """Zero-mean correction phi with lap(phi) = div(u_tent) / dt."""
         rhs = self.divergence(u_tent, v_tent) / self.cfg.dt
-        phi = scipy.fft.idctn(scipy.fft.dctn(rhs, norm="ortho") / self._poisson_eig, norm="ortho")
-        # constants lie outside the Neumann Laplacian's range: L phi meets rhs less its mean
-        residual = self._laplacian.apply(phi) - (rhs - rhs.mean())
-        _check_residual(phi, residual, rhs, POISSON_TOL, "pressure Poisson")
-        return phi
+        # constants lie outside the Neumann Laplacian's range: -lap(phi)
+        # meets -rhs less its mean
+        return self._pressure.solve(rhs.mean() - rhs)
 
     # ------------------------------------------------------------------
     # momentum
@@ -268,7 +278,7 @@ class CavitySolver:
         matrix = pattern.matrix(stencil, 1.0 / dt)
         rhs = (old_interior / dt - stencil.apply(old_interior) + forcing).ravel()[pattern.perm]
         sol = _factor(matrix, label, **_MOMENTUM_FACTOR).solve(rhs)
-        _check_residual(sol, matrix @ sol - rhs, rhs, MOMENTUM_TOL, label)
+        _check_residual(sol, matrix @ sol - rhs, rhs, SOLVE_TOL, label)
         out = np.empty_like(sol)
         out[pattern.perm] = sol
         return out.reshape(old_interior.shape)
@@ -332,18 +342,6 @@ class CavitySolver:
     # ------------------------------------------------------------------
     # temperature
     # ------------------------------------------------------------------
-    def _build_temperature(self):
-        cfg = self.cfg
-        ny, nx = cfg.grid.cell_shape
-        dx, dy = self.dx, self.dy
-        k = cfg.thermal_diffusivity
-        op = _neumann(ny, nx, -k / (dx * dx), -k / (dy * dy), 1.0 / cfg.dt)
-        wall = cfg.right_wall
-        op.diag[:, -1] += wall.h / dx
-        self._wall_rhs = wall.h * wall.t_ambient / dx
-        matrix = sp.csc_matrix((op.values(), _five_point(ny, nx)), shape=(ny * nx, ny * nx))
-        self._temp_lu = _factor(matrix, "temperature", permc_spec=_PERMC_SPEC)
-
     def temperature_step(self, state: FlowState, u, v) -> np.ndarray:
         """Advance temperature: explicit upwind advection, implicit
         diffusion, cooled right wall, adiabatic elsewhere; ``u``, ``v``
@@ -360,11 +358,9 @@ class CavitySolver:
         flux_y[1:-1, :] = np.where(vi > 0, temp[:-1, :], temp[1:, :]) * vi
         advection = (flux_x[:, 1:] - flux_x[:, :-1]) / dx + (flux_y[1:, :] - flux_y[:-1, :]) / dy
         rhs = temp / cfg.dt - advection
-        rhs[:, -1] += self._wall_rhs
-        new_temp = self._temp_lu.solve(rhs.ravel()).reshape(g.cell_shape)
-        if not np.all(np.isfinite(new_temp)):
-            raise NumericalError("temperature solve produced non-finite values")
-        return new_temp
+        rhs[:, -1] += cfg.right_wall.h * cfg.right_wall.t_ambient / dx
+        # solve for the change, so a field at rest stays exactly at rest
+        return temp + self._temperature.solve(rhs - self._temperature.apply(temp))
 
     # ------------------------------------------------------------------
     # stepping

@@ -1,5 +1,5 @@
 """Shared fixtures: the 1D reference snapshot matrices, and the exact
-Taylor-Green vortex."""
+Taylor-Green vortex with the solver loop that advances it."""
 
 import numpy as np
 import pytest
@@ -53,3 +53,30 @@ def taylor_green(grid, nu, t):
     v = -np.cos(x_cell)[None, :] * np.sin(y_face)[:, None] * decay
     p = 0.25 * (np.cos(2 * x_cell)[None, :] + np.cos(2 * y_cell)[:, None]) * decay**2
     return u, v, p
+
+
+def advance_taylor_green(grid, nu, dt, n_steps):
+    """Start the cavity solver from the exact Taylor-Green vortex at t = 0
+    (the exact field at -dt as the previous level) with free-slip walls,
+    constant viscosity ``nu`` and no buoyancy; returns the FlowState after
+    ``n_steps`` steps of ``dt``."""
+    from podsnap.solidify2d import CavitySolver, CoolingWall, SimConfig, ViscosityModel
+    from podsnap.solidify2d.model import FlowState
+
+    cfg = SimConfig(
+        grid=grid, dt=dt, n_steps=n_steps, snap_every=n_steps,
+        viscosity=ViscosityModel(kind="mushy", mu_liquid=nu),
+        right_wall=CoolingWall(h=0.0),
+        initial_temp=700.0, t_ref=700.0, wall_tangential="free_slip",
+    )
+    solver = CavitySolver(cfg)
+    u0, v0, p0 = taylor_green(grid, nu, 0.0)
+    um, vm, _ = taylor_green(grid, nu, -dt)
+    state = FlowState(
+        u=u0, v=v0, p_star=p0,
+        temp=np.full(grid.cell_shape, 700.0), u_prev=um, v_prev=vm,
+        time=0.0, step=1,
+    )
+    for _ in range(n_steps):
+        state = solver.step(state)
+    return state

@@ -44,7 +44,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import taylor_green
+from conftest import advance_taylor_green
 from podsnap.analysis import fit_decay
 from podsnap.cases1d import Heat1DConfig, solve_heat1d
 from podsnap.grids import StaggeredGrid2D
@@ -61,7 +61,6 @@ from podsnap.solidify2d import (
     CavitySolver,
     CoolingWall,
     SimConfig,
-    ViscosityModel,
     default_mushy_config,
     default_pure_metal_config,
     initial_state,
@@ -303,28 +302,11 @@ class TestCriterion6SolverSuite:
         )
 
     def test_taylor_green_temporal_order(self):
-        from podsnap.solidify2d.model import FlowState
-
         grid = StaggeredGrid2D(32, 32, lx=np.pi, ly=np.pi)
         nu = 0.1
 
         def advance(dt, n_steps):
-            cfg = SimConfig(
-                grid=grid, dt=dt, n_steps=n_steps, snap_every=n_steps,
-                viscosity=ViscosityModel(kind="mushy", mu_liquid=nu),
-                right_wall=CoolingWall(h=0.0),
-                initial_temp=700.0, t_ref=700.0, wall_tangential="free_slip",
-            )
-            solver = CavitySolver(cfg)
-            u0, v0, p0 = taylor_green(grid, nu, 0.0)
-            um, vm, _ = taylor_green(grid, nu, -dt)
-            state = FlowState(
-                u=u0, v=v0, p_star=p0,
-                temp=np.full(grid.cell_shape, 700.0), u_prev=um, v_prev=vm,
-                time=0.0, step=1,
-            )
-            for _ in range(n_steps):
-                state = solver.step(state)
+            state = advance_taylor_green(grid, nu, dt, n_steps)
             return np.concatenate([state.u.ravel(), state.v.ravel()])
 
         sols = [advance(dt, round(0.4 / dt)) for dt in (0.04, 0.02, 0.01)]

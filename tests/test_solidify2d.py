@@ -9,9 +9,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import taylor_green
-from podsnap.errors import ArgumentError, FormatError, NumericalError, StabilityError
+from conftest import advance_taylor_green, taylor_green
+from podsnap.errors import ArgumentError, DataError, FormatError, NumericalError, StabilityError
 from podsnap.grids import StaggeredGrid2D
+from podsnap.pod import unit_energy_weighted
 from podsnap.solidify2d import (
     CavitySolver,
     CoolingWall,
@@ -296,15 +297,15 @@ class TestMomentumSystems:
         solver_module._mmd_position.cache_clear()
         cfg = small_config(grid=StaggeredGrid2D(9, 7))
         CavitySolver(cfg)
-        # u and v probes, then the temperature factor; Poisson factors nothing
-        assert calls == ["MMD_AT_PLUS_A"] * 3
-        # the probes are cached: a second solver on this grid pays only its own factor
+        # u and v probes; pressure and temperature factor nothing
+        assert calls == ["MMD_AT_PLUS_A"] * 2
+        # the probes are cached: a second solver on this grid factors nothing
         CavitySolver(dataclasses.replace(cfg, wall_tangential="free_slip"))
-        assert calls == ["MMD_AT_PLUS_A"] * 4
+        assert calls == ["MMD_AT_PLUS_A"] * 2
         # on a square grid the transposed v interior has u's shape: one probe
         calls.clear()
         CavitySolver(small_config(grid=StaggeredGrid2D(8, 8)))
-        assert calls == ["MMD_AT_PLUS_A"] * 2
+        assert calls == ["MMD_AT_PLUS_A"]
 
     @pytest.mark.parametrize("tangential", ["no_slip", "free_slip"])
     @pytest.mark.parametrize("component", ["u", "v"])
@@ -406,18 +407,6 @@ class TestPressureCorrection:
         rhs = (div / cfg.dt).ravel()
         phi_oracle = np.linalg.lstsq(dense, rhs, rcond=None)[0].reshape(ny, nx)
         assert np.max(np.abs(phi - phi_oracle)) <= 1e-10 * max(1.0, np.max(np.abs(phi_oracle)))
-
-    def test_residual_check_rejects_inaccurate_eigenvalues(self):
-        cfg = small_config()
-        solver = CavitySolver(cfg)
-        rng = np.random.default_rng(8)
-        u = rng.normal(size=cfg.grid.u_shape)
-        v = rng.normal(size=cfg.grid.v_shape)
-        solver._poisson_eig = solver._poisson_eig * (1.0 + 1e-6)
-        with pytest.raises(NumericalError) as err:
-            solver.pressure_correction(u, v)
-        assert "pressure Poisson solve did not reach tolerance" in str(err.value)
-        assert err.value.residual > 1e-10
 
     def test_zero_mean_and_rhs_constant_invariance(self):
         cfg = small_config()
@@ -543,6 +532,30 @@ class TestTemperatureStep:
         assert temps.max() <= 700.0 + 1e-9
 
 
+class TestSeparableSolves:
+    @pytest.mark.parametrize(
+        "operator, label", [("pressure", "pressure Poisson"), ("temperature", "temperature")]
+    )
+    def test_residual_check_rejects_inaccurate_eigenvalues(self, operator, label):
+        cfg = small_config()
+        solver = CavitySolver(cfg)
+        rng = np.random.default_rng(8)
+        u = rng.normal(size=cfg.grid.u_shape)
+        v = rng.normal(size=cfg.grid.v_shape)
+        state = dataclasses.replace(
+            initial_state(cfg), temp=600.0 + 100.0 * rng.random(cfg.grid.cell_shape)
+        )
+        separable = getattr(solver, f"_{operator}")
+        separable.eig = separable.eig * (1.0 + 1e-6)
+        with pytest.raises(NumericalError) as err:
+            if operator == "pressure":
+                solver.pressure_correction(u, v)
+            else:
+                solver.temperature_step(state, u, v)
+        assert f"{label} solve did not reach tolerance" in str(err.value)
+        assert err.value.residual > 1e-10
+
+
 class TestStepping:
     def test_quiescent_fixed_point_100_steps(self):
         cfg = quiescent_config(n_steps=100, snap_every=100)
@@ -553,6 +566,18 @@ class TestStepping:
             assert np.max(np.abs(state.u)) <= 1e-12
             assert np.max(np.abs(state.v)) <= 1e-12
             assert np.max(np.abs(state.temp - 700.0)) <= 1e-12 * 700.0
+
+    def test_adiabatic_cavity_at_reference_stays_exactly_at_rest(self):
+        cfg = SimConfig(
+            grid=StaggeredGrid2D(8, 8), n_steps=4, snap_every=1, right_wall=CoolingWall(h=0.0)
+        )
+        m = run_case(cfg)
+        for name in ("u", "v", "p"):
+            assert np.all(m.field(name) == 0.0), name
+        assert np.all(m.field("T") == cfg.t_ref)
+        # a block of exact zeros has no energy to scale
+        with pytest.raises(DataError):
+            unit_energy_weighted(m)
 
     def test_divergence_free_after_every_step(self):
         cfg = small_config(n_steps=30, snap_every=1, initial_temp=700.0, t_ref=660.0)
@@ -619,47 +644,13 @@ class TestTaylorGreen:
     box, so it exercises the full projection loop.
     """
 
-    def _advance(self, grid, nu, dt, n_steps):
-        from podsnap.solidify2d.model import FlowState
-
-        cfg = SimConfig(
-            grid=grid, dt=dt, n_steps=n_steps, snap_every=n_steps,
-            viscosity=ViscosityModel(kind="mushy", mu_liquid=nu),
-            right_wall=CoolingWall(h=0.0),
-            initial_temp=700.0, t_ref=700.0, wall_tangential="free_slip",
-        )
-        solver = CavitySolver(cfg)
-        u0, v0, p0 = taylor_green(grid, nu, 0.0)
-        um, vm, _ = taylor_green(grid, nu, -dt)
-        state = FlowState(
-            u=u0, v=v0, p_star=p0,
-            temp=np.full(grid.cell_shape, 700.0), u_prev=um, v_prev=vm,
-            time=0.0, step=1,
-        )
-        for _ in range(n_steps):
-            state = solver.step(state)
-        return state
-
     def test_amplitude_tracks_exact_decay(self):
         grid = StaggeredGrid2D(32, 32, lx=np.pi, ly=np.pi)
         nu = 0.1
-        state = self._advance(grid, nu, dt=0.01, n_steps=50)
+        state = advance_taylor_green(grid, nu, dt=0.01, n_steps=50)
         u_exact, _, _ = taylor_green(grid, nu, 0.5)
         err = np.max(np.abs(state.u - u_exact)) / np.max(np.abs(u_exact))
         assert err < 5e-3
-
-    def test_temporal_order_at_least_1_8(self):
-        grid = StaggeredGrid2D(32, 32, lx=np.pi, ly=np.pi)
-        nu = 0.1
-        t_end = 0.4
-        solutions = []
-        for dt in (0.04, 0.02, 0.01):
-            state = self._advance(grid, nu, dt=dt, n_steps=round(t_end / dt))
-            solutions.append(np.concatenate([state.u.ravel(), state.v.ravel()]))
-        d1 = np.linalg.norm(solutions[0] - solutions[1])
-        d2 = np.linalg.norm(solutions[1] - solutions[2])
-        order = np.log2(d1 / d2)
-        assert order >= 1.8
 
 
 class TestConfigFile:
