@@ -33,6 +33,7 @@ from .solidify2d import (
     write_config,
 )
 from .solidify2d.configfile import config_text, finite_float
+from .solidify2d.solver import snapshot_layout
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,7 +153,6 @@ def _generate_cavity(cfg: SimConfig) -> SnapshotMatrix:
 
 def _cmd_repro(args) -> None:
     out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = (read_config(args.cavity_config) if args.cavity_config is not None
             else default_mushy_config())
     cavity = {
@@ -160,8 +160,6 @@ def _cmd_repro(args) -> None:
         for label, kind in (("mushy", "mushy"), ("pure", "sharp_jump"))
     }
     _echo(args, cavity["cavity_mushy"])
-    for name, cfg in cavity.items():
-        write_config(cfg, out_dir / f"{name}.cfg")
 
     grid = Grid1D(cases1d.N_NODES)
     tasks = {
@@ -170,6 +168,22 @@ def _cmd_repro(args) -> None:
         "sigmoid_steep": lambda: cases1d.gen_sigmoid(grid, k=cases1d.STEEP_K),
         "sigmoid_stretched": lambda: cases1d.gen_sigmoid(grid, k=cases1d.STRETCHED_K),
     }
+    fields = snapshot_layout(base.grid).names
+    parts = [*tasks, *cavity, *(f"{name}_{comp}" for name in cavity for comp in fields)]
+    reports = {"1d": tasks, "2d": cavity, "components": [f"cavity_pure_{c}" for c in fields]}
+    artifacts = (
+        [f"{name}.cfg" for name in cavity]
+        + [f"{name}.snap" for name in (*tasks, *cavity)]
+        + [f"{name}.csv" for name in parts]
+        + [f"report_{label}{kind}.csv" for label in reports for kind in ("", "_verdicts")]
+    )
+    inputs = [args.cavity_config] if args.cavity_config is not None else []
+    _check_distinct(inputs, [out_dir / name for name in artifacts])
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, cfg in cavity.items():
+        write_config(cfg, out_dir / f"{name}.cfg")
+
     # The process pool forks all its workers at the first submit; submitting
     # both cavity cases before the thread pool exists means no other thread
     # is running when the process forks.
@@ -181,20 +195,14 @@ def _cmd_repro(args) -> None:
     for name, matrix in matrices.items():
         write_snap(matrix, out_dir / f"{name}.snap")
 
-    parts = dict(matrices)
     for name in cavity:
         for comp, sub in pod.component_split(matrices[name]).items():
-            parts[f"{name}_{comp}"] = sub
+            matrices[f"{name}_{comp}"] = sub
     spectra = {}
-    for name, matrix in parts.items():
-        spectra[name] = pod.decompose(matrix).spectrum
+    for name in parts:
+        spectra[name] = pod.decompose(matrices[name]).spectrum
         pod.write_spectrum_csv(spectra[name], out_dir / f"{name}.csv")
 
-    reports = {
-        "1d": tasks,
-        "2d": cavity,
-        "components": [f"cavity_pure_{n}" for n in matrices["cavity_pure"].layout.names],
-    }
     for label, names in reports.items():
         report = analysis.compare([(n, spectra[n]) for n in names], (0.9999,))
         analysis.write_report_csv(report, out_dir / f"report_{label}.csv")

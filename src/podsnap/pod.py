@@ -255,13 +255,13 @@ def unit_energy_weighted(m: SnapshotMatrix) -> SnapshotMatrix:
     Layout and column labels are kept. An all-zero block has no scale
     and raises :class:`DataError`.
     """
-    blocks = []
+    norms = []
     for name, sub in component_split(m).items():
-        norm = np.linalg.norm(sub.data)
-        if norm == 0.0:
+        norms.append(np.linalg.norm(sub.data))
+        if norms[-1] == 0.0:
             raise DataError(f"field {name!r} is all zero and cannot be scaled to unit energy")
-        blocks.append(sub.data / norm)
-    return SnapshotMatrix(np.vstack(blocks), m.layout, m.column_labels)
+    counts = [count for _, _, count in m.layout.segments]
+    return SnapshotMatrix(m.data / np.repeat(norms, counts)[:, None], m.layout, m.column_labels)
 
 
 def write_spectrum_csv(s: PodSpectrum, path) -> None:

@@ -6,6 +6,11 @@ degrees of freedom, grouped into named contiguous segments by a
 solve). Matrices round-trip bit-exactly through :func:`write_snap` /
 :func:`read_snap`.
 
+Storage is kept in the order it is given. Assembled and read matrices
+are snapshot-major (Fortran order, each snapshot contiguous), the order
+of the SNAP1 payload, so :func:`read_snap` fills one array straight from
+the file and :func:`write_snap` writes each column without a copy.
+
 SNAP1 format, little-endian, no padding:
 
 * bytes 0-7: magic ASCII ``PODSNAP1``
@@ -17,6 +22,7 @@ SNAP1 format, little-endian, no padding:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -84,11 +90,14 @@ class SnapshotMatrix:
     """Dense n_dof x n_snaps matrix of solution snapshots.
 
     Column j holds the snapshot at ``column_labels[j]`` (a time or
-    parameter value). Data is float64 and immutable after construction.
+    parameter value). Data is float64 and read-only after construction.
+    It is stored as given, without a copy when it is already float64:
+    a C-ordered array stays C-ordered, and the row views of
+    :meth:`field` and ``pod.component_split`` stay strided views.
     """
 
     def __init__(self, data, layout: FieldLayout, column_labels):
-        data = np.ascontiguousarray(data, dtype=np.float64)
+        data = np.asarray(data, dtype=np.float64)
         labels = np.ascontiguousarray(column_labels, dtype=np.float64)
         if data.ndim != 2:
             raise DimensionError(f"data must be 2D, got shape {data.shape}")
@@ -163,7 +172,7 @@ def assemble(columns, layout: FieldLayout, labels) -> SnapshotMatrix:
         raise DimensionError(f"{len(cols)} columns need {len(cols)} labels")
     if np.any(np.diff(labels) <= 0):
         raise DataError("column labels must be strictly increasing")
-    return SnapshotMatrix(np.column_stack(cols), layout, labels)
+    return SnapshotMatrix(np.array(cols).T, layout, labels)
 
 
 def matrix_from_array(data, name: str = "field", column_labels=None) -> SnapshotMatrix:
@@ -180,7 +189,8 @@ def matrix_from_array(data, name: str = "field", column_labels=None) -> Snapshot
 
 
 def write_snap(m: SnapshotMatrix, path) -> None:
-    """Write a snapshot matrix in SNAP1 format."""
+    """Write a snapshot matrix in SNAP1 format, one payload column at a
+    time: a snapshot-major matrix is written without a copy."""
     parts = [MAGIC]
     parts.append(struct.pack("<III", m.n_dof, m.n_snaps, len(m.layout.segments)))
     for name, offset, count in m.layout.segments:
@@ -191,52 +201,60 @@ def write_snap(m: SnapshotMatrix, path) -> None:
         parts.append(encoded)
         parts.append(struct.pack("<II", offset, count))
     parts.append(np.asarray(m.column_labels, dtype="<f8").tobytes())
-    parts.append(np.asfortranarray(m.data).astype("<f8", copy=False).tobytes(order="F"))
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
+        for column in m.data.T:
+            fh.write(np.ascontiguousarray(column, dtype="<f8"))
 
 
 def read_snap(path) -> SnapshotMatrix:
-    """Read a SNAP1 file; inverse of :func:`write_snap`, bit-exact."""
+    """Read a SNAP1 file; inverse of :func:`write_snap`, bit-exact.
+
+    The payload is read straight into one snapshot-major array, 8-byte
+    aligned whatever the header length; no staging copy is made.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n, offset, what):
-        if offset + n > len(blob):
-            raise FormatError(f"truncated file while reading {what}", offset=offset)
-        return blob[offset : offset + n], offset + n
+        def take(count, what, dtype=np.uint8):
+            """The next ``count`` items as an array. Their extent is checked
+            against the file size before the array is allocated."""
+            offset = fh.tell()
+            n = count * np.dtype(dtype).itemsize
+            if offset + n > size or fh.readinto(out := np.empty(count, dtype)) != n:
+                raise FormatError(f"truncated file while reading {what}", offset=offset)
+            return out
 
-    raw, pos = take(8, 0, "magic")
-    if raw != MAGIC:
-        raise FormatError(f"bad magic {raw!r}, expected {MAGIC!r}", offset=0)
-    raw, pos = take(12, pos, "header")
-    n_dof, n_snaps, n_segments = struct.unpack("<III", raw)
-    segments = []
-    for k in range(n_segments):
-        raw, pos = take(2, pos, f"segment {k} name length")
-        (name_len,) = struct.unpack("<H", raw)
-        raw, pos = take(name_len, pos, f"segment {k} name")
+        raw = take(8, "magic").tobytes()
+        if raw != MAGIC:
+            raise FormatError(f"bad magic {raw!r}, expected {MAGIC!r}", offset=0)
+        n_dof, n_snaps, n_segments = struct.unpack("<III", take(12, "header"))
+        segments = []
+        for k in range(n_segments):
+            (name_len,) = struct.unpack("<H", take(2, f"segment {k} name length"))
+            raw = take(name_len, f"segment {k} name").tobytes()
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"segment {k} name is not UTF-8", offset=fh.tell() - name_len
+                ) from exc
+            offset, count = struct.unpack("<II", take(8, f"segment {k} extent"))
+            segments.append((name, offset, count))
+        pos = fh.tell()
         try:
-            name = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"segment {k} name is not UTF-8", offset=pos - name_len) from exc
-        raw, pos = take(8, pos, f"segment {k} extent")
-        offset, count = struct.unpack("<II", raw)
-        segments.append((name, offset, count))
-    try:
-        layout = FieldLayout(tuple(segments))
-    except DimensionError as exc:
-        raise FormatError(f"invalid layout in file: {exc}", offset=pos) from exc
-    if layout.n_rows != n_dof:
-        raise FormatError(
-            f"layout covers {layout.n_rows} rows but header declares {n_dof}", offset=pos
-        )
-    raw, pos = take(8 * n_snaps, pos, "column labels")
-    labels = np.frombuffer(raw, dtype="<f8")
-    raw, pos = take(8 * n_dof * n_snaps, pos, "matrix payload")
-    data = np.frombuffer(raw, dtype="<f8").reshape((n_dof, n_snaps), order="F")
-    if pos != len(blob):
-        raise FormatError(f"{len(blob) - pos} trailing bytes after payload", offset=pos)
+            layout = FieldLayout(tuple(segments))
+        except DimensionError as exc:
+            raise FormatError(f"invalid layout in file: {exc}", offset=pos) from exc
+        if layout.n_rows != n_dof:
+            raise FormatError(
+                f"layout covers {layout.n_rows} rows but header declares {n_dof}", offset=pos
+            )
+        labels = take(n_snaps, "column labels", "<f8")
+        data = take(n_dof * n_snaps, "matrix payload", "<f8").reshape(n_snaps, n_dof).T
+        pos = fh.tell()
+    if pos != size:
+        raise FormatError(f"{size - pos} trailing bytes after payload", offset=pos)
     try:
         return SnapshotMatrix(data, layout, labels)
     except (DataError, DimensionError) as exc:

@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
 from ..errors import NumericalError, StabilityError
-from ..snapshots import FieldLayout, SnapshotMatrix, assemble
+from ..snapshots import FieldLayout, SnapshotMatrix
 from .model import FlowState, SimConfig, initial_state, viscosity_of
 
 DIV_TOL = 1e-8
@@ -393,19 +393,16 @@ class CavitySolver:
             step=state.step + 1,
         )
 
-    def snapshot_layout(self) -> FieldLayout:
-        g = self.cfg.grid
-        return FieldLayout.from_sizes(
-            [("u", g.n_u), ("v", g.n_v), ("p", g.n_cells), ("T", g.n_cells)]
-        )
-
     def run(self, observer=None) -> SnapshotMatrix:
         """March ``n_steps`` steps from :func:`initial_state`, collecting a
         snapshot column every ``snap_every`` steps; ``observer(state)`` is
-        called after each collected snapshot."""
+        called after each collected snapshot. Each snapshot is written
+        once, into its column of a snapshot-major matrix."""
         cfg = self.cfg
+        layout = snapshot_layout(cfg.grid)
+        rows = np.empty((cfg.n_steps // cfg.snap_every, layout.n_rows))
+        labels = []
         state = initial_state(cfg)
-        columns, labels = [], []
         for _ in range(cfg.n_steps):
             try:
                 state = self.step(state)
@@ -414,15 +411,21 @@ class CavitySolver:
                     f"aborted at step {state.step + 1} (t = {state.time + cfg.dt:.6g}): {exc}"
                 ) from exc
             if state.step % cfg.snap_every == 0:
-                columns.append(
-                    np.concatenate(
-                        [state.u.ravel(), state.v.ravel(), state.p_star.ravel(), state.temp.ravel()]
-                    )
+                np.concatenate(
+                    [state.u.ravel(), state.v.ravel(), state.p_star.ravel(), state.temp.ravel()],
+                    out=rows[len(labels)],
                 )
                 labels.append(state.time)
                 if observer is not None:
                     observer(state)
-        return assemble(columns, self.snapshot_layout(), labels)
+        return SnapshotMatrix(rows.T, layout, labels)
+
+
+def snapshot_layout(grid) -> FieldLayout:
+    """Row layout of a cavity snapshot: the u, v, p and T blocks."""
+    return FieldLayout.from_sizes(
+        [("u", grid.n_u), ("v", grid.n_v), ("p", grid.n_cells), ("T", grid.n_cells)]
+    )
 
 
 def run_case(cfg: SimConfig, observer=None) -> SnapshotMatrix:

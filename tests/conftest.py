@@ -1,5 +1,8 @@
-"""Shared fixtures: the 1D reference snapshot matrices, and the exact
-Taylor-Green vortex with the solver loop that advances it."""
+"""Shared fixtures: the 1D reference snapshot matrices, the exact
+Taylor-Green vortex with the solver loop that advances it, and a
+traced-allocation probe."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +42,19 @@ def random_snapshot_matrix(rng, n_dof, n_snaps, rank=None):
     else:
         data = rng.normal(size=(n_dof, rank)) @ rng.normal(size=(rank, n_snaps))
     return matrix_from_array(data)
+
+
+def traced_peak(fn):
+    """Call ``fn()`` under tracemalloc; return its result and the peak
+    number of bytes allocated during the call, the result included.
+    numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def taylor_green(grid, nu, t):

@@ -228,6 +228,18 @@ class TestExitCodes:
         assert csv.read_bytes() == before and other.read_bytes() == before
         assert not same.exists()
 
+    @pytest.mark.parametrize("artifact", ["cavity_pure.cfg", "cavity_mushy_T.csv"])
+    def test_repro_config_among_its_artifacts_is_1(self, tmp_path, artifact):
+        out_dir = tmp_path / "study"
+        out_dir.mkdir()
+        cfg_path = out_dir / artifact
+        cfg_path.write_text("# the user's own case\n" + TINY_CAVITY)
+        before = cfg_path.read_bytes()
+        code = run_cli("repro", "--out-dir", str(out_dir), "--cavity-config", str(cfg_path))
+        assert code == 1
+        assert cfg_path.read_bytes() == before
+        assert [p.name for p in out_dir.iterdir()] == [artifact]
+
     def test_structured_error_line(self, tmp_path, capsys):
         run_cli("pod", "--in", str(tmp_path / "nope.snap"), "--out", str(tmp_path / "s.csv"))
         err = capsys.readouterr().err

@@ -52,7 +52,8 @@ def test_one_iteration_meets_the_frozen_outputs(tmp_path, monkeypatch):
     # repro-small runs the CLI in a child process, which must import this checkout
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     workloads = load("workloads")
-    for workload in (workloads.CavityDesk(0, tmp_path), workloads.ReproSmall(0, tmp_path)):
+    for workload in (workloads.CavityDesk(0, tmp_path), workloads.PodSpectra(0, tmp_path),
+                     workloads.ReproSmall(0, tmp_path)):
         workload.prepare()
         checks = workloads.Checks()
         outputs, _ = workload.run(None)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
+from podsnap import pod
 from podsnap.errors import DataError, DimensionError, FormatError
 from podsnap.snapshots import (
     FieldLayout,
@@ -123,22 +125,51 @@ class TestSnapFile:
         assert err.value.offset == 0
 
     def test_truncated_payload_rejected(self, tmp_path):
+        # payload of a 4 x 3 "field" matrix starts at 8 + 12 + (2 + 5 + 8) + 3 * 8
         m = matrix_from_array(np.ones((4, 3)))
         path = tmp_path / "m.snap"
         write_snap(m, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(FormatError, match="truncated file while reading matrix payload") as err:
             read_snap(path)
-        assert err.value.offset is not None
+        assert err.value.offset == 59
 
     def test_trailing_garbage_rejected(self, tmp_path):
         m = matrix_from_array(np.ones((2, 2)))
         path = tmp_path / "m.snap"
         write_snap(m, path)
         path.write_bytes(path.read_bytes() + b"xx")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="2 trailing bytes after payload") as err:
             read_snap(path)
+        assert err.value.offset == path.stat().st_size - 2
+
+    @pytest.mark.parametrize("field, what, offset", [
+        ("n_snaps", "column labels", 31),
+        ("n_dof", "matrix payload", 31 + 3 * 8),
+    ])
+    def test_header_claiming_a_huge_extent_allocates_nothing(self, tmp_path, field, what, offset):
+        # 2**31 rows or snapshots claim gigabytes; the check against the
+        # file size must come before any buffer is allocated
+        m = matrix_from_array(np.ones((4, 3)), name="f")
+        path = tmp_path / "m.snap"
+        write_snap(m, path)
+        blob = bytearray(path.read_bytes())
+        huge = (2**31).to_bytes(4, "little")
+        if field == "n_snaps":
+            blob[12:16] = huge
+        else:
+            blob[8:12] = blob[27:31] = huge  # header n_dof and the segment's row count
+        path.write_bytes(bytes(blob))
+
+        def attempt():
+            with pytest.raises(FormatError, match=f"truncated file while reading {what}") as err:
+                read_snap(path)
+            return err.value
+
+        error, peak = traced_peak(attempt)
+        assert error.offset == offset
+        assert peak < 1e6
 
     def test_layout_header_mismatch_rejected(self, tmp_path):
         m = matrix_from_array(np.ones((4, 2)))
@@ -182,3 +213,84 @@ class TestColumnExtraction:
         assert np.array_equal(m.field("b"), data[2:, :])
         with pytest.raises(KeyError):
             m.field("c")
+
+
+class TestStorageOrder:
+    """Matrices keep the storage they are given; SNAP1 bytes, round trips
+    and spectra do not depend on it."""
+
+    LAYOUT = FieldLayout.from_sizes([("u", 7), ("p", 5)])
+
+    def stored(self, order):
+        data = np.random.default_rng(5).normal(size=(12, 9))
+        return SnapshotMatrix(np.array(data, order=order), self.LAYOUT, np.linspace(0, 1, 9))
+
+    def test_assembled_matrix_is_snapshot_major(self):
+        m = assemble([np.arange(4.0), np.ones(4)], FieldLayout.single("u", 4), [0.0, 1.0])
+        assert m.data.flags.f_contiguous
+
+    def test_given_storage_is_kept(self):
+        for order in "CF":
+            data = np.array(np.ones((12, 9)), order=order)
+            assert SnapshotMatrix(data, self.LAYOUT, np.arange(9.0)).data is data
+        m = self.stored("F")
+        for rows in (m.field("p"), pod.component_split(m)["p"].data):
+            assert np.shares_memory(rows, m.data)
+
+    def test_bytes_and_round_trip_do_not_depend_on_storage(self, tmp_path):
+        whole = {order: self.stored(order) for order in "CF"}
+        split = {order: pod.component_split(m)["p"] for order, m in whole.items()}
+        labels = whole["C"].column_labels
+        split["copy"] = matrix_from_array(np.array(whole["C"].field("p")), "p", labels)
+        for family in (whole, split):
+            blobs = set()
+            for label, m in family.items():
+                path = tmp_path / f"{label}.snap"
+                write_snap(m, path)
+                blobs.add(path.read_bytes())
+                back = read_snap(path)
+                assert back == m
+                assert back.data.flags.f_contiguous
+            assert len(blobs) == 1
+
+    @pytest.mark.parametrize("name", ["u", "uv", "field"])
+    def test_read_back_arrays_are_aligned(self, tmp_path, name):
+        # the payload starts at 31 + 8 n_snaps for a 1-character name,
+        # which is not a multiple of 8
+        path = tmp_path / "m.snap"
+        write_snap(matrix_from_array(np.ones((5, 3)), name), path)
+        back = read_snap(path)
+        assert back.data.flags.aligned and back.column_labels.flags.aligned
+
+    @pytest.mark.parametrize("method", ["direct", "method_of_snapshots"])
+    def test_spectrum_does_not_depend_on_storage(self, method):
+        data = np.random.default_rng(9).normal(size=(300, 40)) * 0.8 ** np.arange(40)
+        layout = FieldLayout.from_sizes([("u", 180), ("T", 120)])
+        c, f = (SnapshotMatrix(np.array(data, order=o), layout, np.arange(40.0)) for o in "CF")
+        split = (pod.component_split(c).values(), pod.component_split(f).values())
+        for a, b in [(c, f), *zip(*split)]:
+            assert np.array_equal(pod.decompose(a, method).spectrum.sigma,
+                                  pod.decompose(b, method).spectrum.sigma)
+
+
+class TestSnapMemory:
+    """tracemalloc peaks of SNAP1 I/O on a 14.4 MB file (4800 x 375)."""
+
+    @staticmethod
+    def matrix(order):
+        data = np.random.default_rng(2).normal(size=(4800, 375))
+        layout = FieldLayout.from_sizes([("u", 1800), ("v", 1800), ("p", 1200)])
+        return SnapshotMatrix(np.array(data, order=order), layout, np.arange(375.0))
+
+    def test_read_holds_one_copy_of_the_payload(self, tmp_path):
+        path = tmp_path / "m.snap"
+        write_snap(self.matrix("F"), path)
+        _, peak = traced_peak(lambda: read_snap(path))
+        assert peak <= 1.25 * path.stat().st_size
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_write_stages_at_most_one_column(self, tmp_path, order):
+        m = self.matrix(order)
+        assert m.data.nbytes >= 10e6
+        _, peak = traced_peak(lambda: write_snap(m, tmp_path / "m.snap"))
+        assert peak <= 1e6
