@@ -18,7 +18,8 @@ All three implicit operators are five-point stencils. The pressure and
 temperature operators have constant coefficients on this uniform grid,
 so each is a 1D operator along y plus one along x, solved by fast
 diagonalisation in the eigenbases of the two (Lynch, Rice & Thomas
-1964); momentum is factored every step.
+1964). Each momentum component keeps one matrix, refilled every step:
+one product gives the explicit half, one SuperLU factor the implicit.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ _MOMENTUM_FACTOR = {"permc_spec": "NATURAL", "panel_size": 1}
 
 def _five_point(ny, nx):
     """(rows, cols) of the five-point operator on an ny*nx field, in the
-    entry order of :meth:`_Stencil.values` (diag/east/west/north/south)."""
+    entry order of :meth:`CavitySolver._stencil` (diag/east/west/north/south)."""
     idx = np.arange(ny * nx).reshape(ny, nx)
     blocks = [
         (idx, idx),
@@ -88,77 +89,41 @@ def _mmd_position(ny, nx):
 
 
 class _Pattern:
-    """Fixed CSC structure of the five-point operator on an ny*nx field.
+    """The five-point operator on an ny*nx field as one CSC matrix, built
+    once per solver and refilled in place each step.
 
-    Built once per solver. The structure is stored symmetrically permuted
-    into its ``MMD_AT_PLUS_A`` ordering (:func:`_mmd_position`): row and
-    column ``k`` of :meth:`matrix` are node ``perm[k]`` of the field.
-    ``order`` gathers :meth:`_Stencil.values` into that CSC data order,
-    so each step fills ``data`` without a COO conversion, index sort or
-    reordering.
+    The matrix is symmetrically permuted into its ``MMD_AT_PLUS_A``
+    ordering (:func:`_mmd_position`): row and column ``k`` are node
+    ``perm[k]`` of the field. ``order`` gathers the flat values of
+    :meth:`CavitySolver._stencil` into the CSC data order and ``diagonal``
+    marks the diagonal there. SuperLU keeps no reference to the matrix
+    it factors, so a refill leaves earlier factors intact.
     """
 
-    __slots__ = ("n", "rows", "cols", "perm", "order", "indices", "indptr")
+    __slots__ = ("n", "perm", "order", "diagonal", "matrix")
 
     def __init__(self, ny, nx):
         self.n = ny * nx
-        self.rows, self.cols = _five_point(ny, nx)
         position = _mmd_position(ny, nx)
         self.perm = np.argsort(position)
-        prow, pcol = position[self.rows], position[self.cols]
+        rows, cols = _five_point(ny, nx)
+        prow, pcol = position[rows], position[cols]
         # column-major sort key; (row, col) pairs are unique
         self.order = np.argsort(pcol * self.n + prow)
-        self.indices = prow[self.order].astype(np.int32)
+        self.diagonal = np.flatnonzero(self.order < self.n)
+        indices = prow[self.order].astype(np.int32)
         counts = np.bincount(pcol, minlength=self.n)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-
-    def matrix(self, stencil, shift):
-        """Permuted CSC matrix of ``stencil`` plus ``shift`` on the diagonal."""
-        vals = stencil.values()
-        vals[: self.n] += shift
-        return sp.csc_matrix(
-            (vals[self.order], self.indices, self.indptr), shape=(self.n, self.n)
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self.matrix = sp.csc_matrix(
+            (np.zeros(self.order.size), indices, indptr), shape=(self.n, self.n)
         )
 
-
-class _Stencil:
-    """Five-point operator stored as per-node coefficient arrays."""
-
-    __slots__ = ("diag", "east", "west", "north", "south")
-
-    def __init__(self, diag, east, west, north, south):
-        self.diag = diag
-        self.east = east
-        self.west = west
-        self.north = north
-        self.south = south
-
-    def apply(self, f):
-        out = self.diag * f
-        out[:, :-1] += self.east[:, :-1] * f[:, 1:]
-        out[:, 1:] += self.west[:, 1:] * f[:, :-1]
-        out[:-1, :] += self.north[:-1, :] * f[1:, :]
-        out[1:, :] += self.south[1:, :] * f[:-1, :]
-        return out
-
-    def values(self):
-        return np.concatenate(
-            [
-                self.diag.ravel(),
-                self.east[:, :-1].ravel(),
-                self.west[:, 1:].ravel(),
-                self.north[:-1, :].ravel(),
-                self.south[1:, :].ravel(),
-            ]
-        )
-
-
-def _factor(matrix, label, **options):
-    """SuperLU factor of ``matrix``; a failure raises :class:`NumericalError`."""
-    try:
-        return spla.splu(matrix, **options)
-    except RuntimeError as exc:
-        raise NumericalError(f"{label} factorization failed: {exc}") from exc
+    def refill(self, values, shift):
+        """The matrix of ``values`` plus ``shift`` on the diagonal, in place."""
+        data = self.matrix.data
+        np.take(values, self.order, out=data)
+        data[self.diagonal] += shift
+        return self.matrix
 
 
 def _check_residual(sol, residual, rhs, tol, label):
@@ -209,14 +174,15 @@ class CavitySolver:
     """Holds the grid operators and advances :class:`FlowState` objects.
 
     The pressure and temperature operators are :class:`_Separable`, built
-    from Neumann :func:`_second_difference` matrices at construction. The
-    momentum stencils change with the viscosity field and are
-    refactorized every step: each is filled into a CSC pattern already
-    symmetrically permuted into the grid's shared ``MMD_AT_PLUS_A``
-    ordering (``1/dt`` added on its diagonal) and factored in natural
-    order with single-column panels; the right-hand side is permuted in
-    and the solution out. Every factor goes through :func:`_factor`, and
-    every solve through the residual check of :func:`_check_residual`.
+    from Neumann :func:`_second_difference` matrices at construction.
+    Each momentum component owns one :class:`_Pattern` matrix, permuted
+    into the grid's shared ``MMD_AT_PLUS_A`` ordering. The operator moves
+    with the viscosity field, so each step refills that matrix in place,
+    takes the explicit half from it by one product and factors it in
+    natural order with single-column panels; the right-hand side is
+    permuted in and the solution out. A failed factor raises
+    :class:`NumericalError`, as does every solve that fails the residual
+    check of :func:`_check_residual`.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -252,10 +218,12 @@ class CavitySolver:
     # ------------------------------------------------------------------
     # momentum
     # ------------------------------------------------------------------
-    def _stencil(self, wb, ob, mu, d_own, d_other) -> _Stencil:
-        """L = (conv - diff) / 2 on the interior faces normal to axis 1;
-        ``wb``/``d_own`` and ``ob``/``d_other`` convect along axes 1 and 0."""
-        pad = np.pad(mu, ((1, 1), (0, 0)), mode="edge")
+    def _stencil(self, wb, ob, mu, d_own, d_other) -> np.ndarray:
+        """Values of L = (conv - diff) / 2 on the interior faces normal to
+        axis 1, flat in :func:`_five_point` entry order; ``wb``/``d_own``
+        and ``ob``/``d_other`` convect along axes 1 and 0."""
+        # mu edge-padded by one row above and below
+        pad = np.concatenate((mu[:1], mu, mu[-1:]))
         corner = 0.25 * (pad[:-1, :-1] + pad[:-1, 1:] + pad[1:, :-1] + pad[1:, 1:])
         ce = mu[:, 1:] / d_own**2
         cw = mu[:, :-1] / d_own**2
@@ -270,14 +238,24 @@ class CavitySolver:
         # the diagonal on the two walls the component slides along
         diag[0, :] += self._ghost * south[0, :]
         diag[-1, :] += self._ghost * north[-1, :]
-        return _Stencil(diag, east, west, north, south)
+        return np.concatenate([
+            diag.ravel(), east[:, :-1].ravel(), west[:, 1:].ravel(),
+            north[:-1, :].ravel(), south[1:, :].ravel(),
+        ])
 
-    def _solve_component(self, stencil, pattern, old_interior, forcing, label):
-        """Solve the permuted system; returns the field in natural order."""
+    def _solve_component(self, values, pattern, old_interior, forcing, label):
+        """Solve ``(I/dt + L) w = (I/dt - L) old + forcing`` in the permuted
+        order, with the explicit half taken from the same matrix as
+        ``2 old/dt - (I/dt + L) old``; returns the field in natural order."""
         dt = self.cfg.dt
-        matrix = pattern.matrix(stencil, 1.0 / dt)
-        rhs = (old_interior / dt - stencil.apply(old_interior) + forcing).ravel()[pattern.perm]
-        sol = _factor(matrix, label, **_MOMENTUM_FACTOR).solve(rhs)
+        matrix = pattern.refill(values, 1.0 / dt)
+        old = old_interior.ravel()[pattern.perm]
+        rhs = (2.0 / dt) * old - matrix @ old + forcing.ravel()[pattern.perm]
+        try:
+            lu = spla.splu(matrix, **_MOMENTUM_FACTOR)
+        except RuntimeError as exc:
+            raise NumericalError(f"{label} factorization failed: {exc}") from exc
+        sol = lu.solve(rhs)
         _check_residual(sol, matrix @ sol - rhs, rhs, SOLVE_TOL, label)
         out = np.empty_like(sol)
         out[pattern.perm] = sol
@@ -289,9 +267,9 @@ class CavitySolver:
         of this and the other component. Wall faces keep their values."""
         ob = 0.25 * (obar[:-1, :-1] + obar[:-1, 1:] + obar[1:, :-1] + obar[1:, 1:])
         grad = (p[:, 1:] - p[:, :-1]) / d_own
-        stencil = self._stencil(wbar[:, 1:-1], ob, mu, d_own, d_other)
+        values = self._stencil(wbar[:, 1:-1], ob, mu, d_own, d_other)
         out = w.copy()
-        out[:, 1:-1] = self._solve_component(stencil, pattern, w[:, 1:-1], forcing - grad, label)
+        out[:, 1:-1] = self._solve_component(values, pattern, w[:, 1:-1], forcing - grad, label)
         return out
 
     def tentative_velocity(self, state: FlowState):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from podsnap import cli, pod
+from podsnap.grids import StaggeredGrid2D
 from podsnap.snapshots import matrix_from_array
+from podsnap.solidify2d import SimConfig, run_case
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -45,6 +47,25 @@ def test_traced_spectrum_reads_do_not_force_the_factor():
     assert names.count("pod.linalg.svd") == 1
     direct_call = names.index("pod.decompose")
     assert tracer.spans[names.index("pod.linalg.svd")][spans.PARENT] == direct_call
+
+
+def test_traced_step_factors_both_momentum_systems():
+    # the momentum metrics read the splu spans under tentative_velocity,
+    # so a change to what the solver hands splu must show here
+    spans = load("spans")
+    cfg = SimConfig(grid=StaggeredGrid2D(8, 8), dt=2e-3, n_steps=4, snap_every=2)
+    with spans.installed(spans.Tracer()) as tracer:
+        run_case(cfg)
+    steps = [i for i, span in enumerate(tracer.spans)
+             if span[spans.NAME] == "solver.tentative_velocity"]
+    assert len(steps) == 4
+    for i in steps:
+        factors = [span for span in tracer.spans
+                   if span[spans.PARENT] == i and span[spans.NAME] == "solver.splu"]
+        assert len(factors) == 2
+        assert all(span[spans.INFO]["fill_nnz"] > 0 for span in factors)
+    metrics = spans.layer_metrics(tracer.spans, 1)
+    assert metrics["solver.factor_calls_per_step"] == 2
 
 
 @pytest.mark.slow

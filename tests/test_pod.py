@@ -332,6 +332,20 @@ class TestUnitEnergyWeighted:
                 block * np.linalg.norm(original), original, rtol=1e-12, atol=0
             )
 
+    def test_weights_do_not_depend_on_storage(self):
+        # large enough that a norm summed in storage order differs in the
+        # last bits between C and F copies
+        layout = FieldLayout.from_sizes([("u", 1200), ("p", 1000), ("T", 800)])
+        data = np.random.default_rng(0).normal(size=(3000, 200))
+        weighted = {}
+        for order in "CF":
+            m = SnapshotMatrix(np.array(data, order=order), layout, np.arange(200.0))
+            weighted[order] = unit_energy_weighted(m).data
+            for name, sub in component_split(m).items():
+                expected = weighted["C"][layout.rows(name)]
+                assert np.array_equal(unit_energy_weighted(sub).data, expected)
+        assert np.array_equal(weighted["F"], weighted["C"])
+
     def test_all_zero_block_names_the_field(self):
         layout = FieldLayout.from_sizes([("u", 4), ("p", 4)])
         data = np.zeros((8, 3))

@@ -108,26 +108,32 @@ def spla_with_splu(splu):
     return types.SimpleNamespace(splu=splu)
 
 
-def random_stencil(solver, component, rng):
-    """A momentum stencil of ``component`` from random velocities and
-    temperatures; returns it with the interior field shape it acts on.
-    v is the u problem on transposed fields, so its shape is transposed."""
+def random_values(solver, component, rng):
+    """Flat momentum-operator values of ``component`` from random
+    velocities and temperatures; returns them with the interior field
+    shape they act on. v is the u problem on transposed fields, so its
+    shape is transposed."""
     g = solver.cfg.grid
     mu = viscosity_of(solver.cfg.viscosity, rng.uniform(600.0, 700.0, g.cell_shape))
     if component == "u":
         shape, spacings = (g.ny, g.nx - 1), (g.dx, g.dy)
     else:
         shape, spacings, mu = (g.nx, g.ny - 1), (g.dy, g.dx), mu.T
-    stencil = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), mu, *spacings)
-    return stencil, shape
+    values = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), mu, *spacings)
+    return values, shape
 
 
-def reference_matrix(stencil, pattern, dt):
-    """The momentum matrix in natural node order, built through COO."""
-    n = pattern.n
-    return sp.csc_matrix(
-        (stencil.values(), (pattern.rows, pattern.cols)), shape=(n, n)
-    ) + sp.identity(n, format="csc") / dt
+def reference_operator(values, shape):
+    """The operator L of ``values`` in natural node order, built through COO."""
+    rows, cols = solver_module._five_point(*shape)
+    n = shape[0] * shape[1]
+    return sp.csc_matrix((values, (rows, cols)), shape=(n, n))
+
+
+def reference_matrix(values, shape, dt):
+    """The momentum matrix ``I/dt + L`` in natural node order."""
+    n = shape[0] * shape[1]
+    return reference_operator(values, shape) + sp.identity(n, format="csc") / dt
 
 
 def unknowns(g, component):
@@ -201,11 +207,13 @@ class TestMomentumSystems:
         solver = CavitySolver(cfg)
         rng = np.random.default_rng(11)
         pattern = getattr(solver, f"_{component}_pattern")
-        stencil, shape = random_stencil(solver, component, rng)
+        values, shape = random_values(solver, component, rng)
         n, perm = pattern.n, pattern.perm
         assert np.array_equal(np.sort(perm), np.arange(n))
-        matrix = pattern.matrix(stencil, 1.0 / cfg.dt)
-        reference = reference_matrix(stencil, pattern, cfg.dt)[perm][:, perm].tocsc()
+        matrix = pattern.refill(values, 1.0 / cfg.dt)
+        assert matrix is pattern.matrix
+        natural = reference_matrix(values, shape, cfg.dt)
+        reference = natural[perm][:, perm].tocsc()
         reference.sort_indices()
         assert matrix.has_sorted_indices
         # strictly increasing row indices within every column: no duplicates
@@ -214,10 +222,9 @@ class TestMomentumSystems:
         np.testing.assert_array_equal(matrix.indptr, reference.indptr)
         np.testing.assert_array_equal(matrix.indices, reference.indices)
         np.testing.assert_array_equal(matrix.data, reference.data)
-        f = rng.normal(size=shape)
+        f = rng.normal(size=shape).ravel()
         np.testing.assert_allclose(
-            matrix @ f.ravel()[perm], (stencil.apply(f) + f / cfg.dt).ravel()[perm],
-            rtol=1e-13, atol=1e-9,
+            matrix @ f[perm], (natural @ f)[perm], rtol=1e-13, atol=1e-9
         )
 
     @pytest.mark.parametrize("tangential", ["no_slip", "free_slip"])
@@ -314,15 +321,55 @@ class TestMomentumSystems:
         solver = CavitySolver(cfg)
         rng = np.random.default_rng(17)
         pattern = getattr(solver, f"_{component}_pattern")
-        stencil, shape = random_stencil(solver, component, rng)
+        values, shape = random_values(solver, component, rng)
         old, forcing = rng.normal(size=shape), rng.normal(size=shape)
-        sol = solver._solve_component(stencil, pattern, old, forcing, component)
-        rhs = old / cfg.dt - stencil.apply(old) + forcing
-        expected = spla.spsolve(reference_matrix(stencil, pattern, cfg.dt), rhs.ravel())
+        sol = solver._solve_component(values, pattern, old, forcing, component)
+        old, forcing = old.ravel(), forcing.ravel()
+        rhs = old / cfg.dt - reference_operator(values, shape) @ old + forcing
+        expected = spla.spsolve(reference_matrix(values, shape, cfg.dt), rhs)
         assert sol.shape == shape
         np.testing.assert_allclose(
             sol.ravel(), expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected))
         )
+
+    @pytest.mark.parametrize("component", ["u", "v"])
+    def test_refill_keeps_structure_and_earlier_factors(self, monkeypatch, component):
+        cfg = small_config(grid=StaggeredGrid2D(7, 5))
+        solver = CavitySolver(cfg)
+        pattern = getattr(solver, f"_{component}_pattern")
+        indices, indptr = pattern.matrix.indices.copy(), pattern.matrix.indptr.copy()
+        factored = []
+
+        def record(a, **kw):
+            lu = spla.splu(a, **kw)
+            factored.append((a, a.copy(), lu))
+            return lu
+
+        rng = np.random.default_rng(29)
+        g, t_freeze = cfg.grid, cfg.viscosity.t_freeze
+        monkeypatch.setattr(solver_module, "spla", spla_with_splu(record))
+        # three momentum stages on random fields, so every matrix differs
+        for _ in range(3):
+            solver.tentative_velocity(dataclasses.replace(
+                initial_state(cfg),
+                u=rng.normal(size=g.u_shape),
+                v=rng.normal(size=g.v_shape),
+                temp=rng.uniform(t_freeze - 30.0, t_freeze + 30.0, g.cell_shape),
+            ))
+        monkeypatch.undo()
+        # u then v each step; the two components never share a matrix
+        assert factored[0][0] is not factored[1][0]
+        steps = factored["uv".index(component) :: 2]
+        assert len(steps) == 3
+        for (matrix, system, lu), (_, next_system, _) in zip(steps, steps[1:]):
+            assert matrix is pattern.matrix
+            assert not np.array_equal(system.data, next_system.data)
+            # after the refill for the next step, this factor still solves its own system
+            b = rng.normal(size=pattern.n)
+            residual = np.linalg.norm(system @ lu.solve(b) - b) / np.linalg.norm(b)
+            assert residual < 1e-12
+        np.testing.assert_array_equal(pattern.matrix.indices, indices)
+        np.testing.assert_array_equal(pattern.matrix.indptr, indptr)
 
     def test_residual_check_rejects_inaccurate_factor(self, monkeypatch):
         cfg = small_config(initial_temp=700.0, t_ref=650.0)
