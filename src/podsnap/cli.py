@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from . import analysis, cases1d, pod
 from .errors import ArgumentError, PodsnapError
 from .grids import Grid1D
-from .snapshots import SnapshotMatrix, read_snap, write_snap
+from .snapshots import read_snap, write_snap
 from .solidify2d import (
     SimConfig,
     default_mushy_config,
@@ -145,13 +145,18 @@ def _cmd_analyze(args) -> None:
 _CAVITY_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
 
 
-def _generate_cavity(cfg: SimConfig) -> SnapshotMatrix:
-    """One cavity case in a worker process. Workers receive this function
-    by name and look ``run_case`` up when they call it."""
-    return run_case(cfg)
+def _generate_cavity(cfg: SimConfig, path) -> None:
+    """Run one cavity case in a worker process and write its SNAP1 file
+    there, so only completion or an exception crosses back. Workers
+    receive this function by name and look ``run_case`` and
+    ``write_snap`` up when they call them."""
+    write_snap(run_case(cfg), path)
 
 
 def _cmd_repro(args) -> None:
+    """The whole study. Each cavity case runs in a worker process that
+    writes its own SNAP1 file; the parent then decomposes the 1D cases and
+    each cavity case in turn, read back from that file."""
     out_dir = pathlib.Path(args.out_dir)
     base = (read_config(args.cavity_config) if args.cavity_config is not None
             else default_mushy_config())
@@ -188,20 +193,32 @@ def _cmd_repro(args) -> None:
     # both cavity cases before the thread pool exists means no other thread
     # is running when the process forks.
     with ProcessPoolExecutor(max_workers=len(cavity), mp_context=_CAVITY_CONTEXT) as procs:
-        in_workers = {name: procs.submit(_generate_cavity, cfg) for name, cfg in cavity.items()}
+        in_workers = [procs.submit(_generate_cavity, cfg, out_dir / f"{name}.snap")
+                      for name, cfg in cavity.items()]
         with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
-            futures = {name: pool.submit(fn) for name, fn in tasks.items()} | in_workers
+            futures = {name: pool.submit(fn) for name, fn in tasks.items()}
             matrices = {name: fut.result() for name, fut in futures.items()}
+            for fut in in_workers:
+                fut.result()
+
+    spectra = {}
+
+    def decompose_all(named):
+        for name, matrix in named.items():
+            spectra[name] = pod.decompose(matrix).spectrum
+            pod.write_spectrum_csv(spectra[name], out_dir / f"{name}.csv")
+
     for name, matrix in matrices.items():
         write_snap(matrix, out_dir / f"{name}.snap")
-
+    decompose_all(matrices)
+    # POD runs here rather than in the workers, where each forked worker's
+    # BLAS thread pool would contend with the other's. Each cavity matrix is
+    # dropped before the next is read, so the process holds one at a time.
     for name in cavity:
-        for comp, sub in pod.component_split(matrices[name]).items():
-            matrices[f"{name}_{comp}"] = sub
-    spectra = {}
-    for name in parts:
-        spectra[name] = pod.decompose(matrices[name]).spectrum
-        pod.write_spectrum_csv(spectra[name], out_dir / f"{name}.csv")
+        matrix = read_snap(out_dir / f"{name}.snap")
+        split = pod.component_split(matrix)
+        decompose_all({name: matrix} | {f"{name}_{comp}": sub for comp, sub in split.items()})
+        del matrix, split
 
     for label, names in reports.items():
         report = analysis.compare([(n, spectra[n]) for n in names], (0.9999,))

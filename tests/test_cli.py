@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import podsnap
+from podsnap import cli
 from podsnap.cli import build_parser, main
 from podsnap.snapshots import read_snap
 from podsnap.solidify2d import read_config, run_case
@@ -379,6 +380,27 @@ class TestRepro:
             cfg = dataclasses.replace(
                 base, viscosity=dataclasses.replace(base.viscosity, kind=kind))
             assert read_snap(out_dir / f"cavity_{label}.snap") == run_case(cfg)
+
+    def test_cavity_spectra_equal_pod_on_written_files(self, tmp_path):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_CAVITY)
+        out_dir, pod_dir = tmp_path / "study", tmp_path / "pod"
+        assert run_cli("repro", "--out-dir", str(out_dir), "--cavity-config", str(cfg_path)) == 0
+        pod_dir.mkdir()
+        for case in ("cavity_mushy", "cavity_pure"):
+            assert run_cli("pod", "--in", str(out_dir / f"{case}.snap"),
+                           "--out", str(pod_dir / f"{case}.csv"), "--components", "all") == 0
+            for name in (case, *(f"{case}_{comp}" for comp in ("u", "v", "p", "T"))):
+                assert (out_dir / f"{name}.csv").read_bytes() == \
+                    (pod_dir / f"{name}.csv").read_bytes(), name
+
+    def test_generate_cavity_writes_its_case_and_returns_nothing(self, tmp_path):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_CAVITY)
+        cfg = read_config(cfg_path)
+        path = tmp_path / "case.snap"
+        assert cli._generate_cavity(cfg, path) is None
+        assert read_snap(path) == run_case(cfg)
 
     def test_worker_error_keeps_exit_code_and_message(self, tmp_path, capsys):
         cfg_path = tmp_path / "unstable.cfg"
