@@ -18,7 +18,7 @@ from .pod import (
     normalized_spectrum,
     truncate,
 )
-from .snapshots import FieldLayout, SnapshotMatrix, assemble, matrix_from_array, read_snap, write_snap
+from .snapshots import FieldLayout, SnapshotMatrix, matrix_from_array, read_snap, write_snap
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "SnapshotMatrix",
     "StaggeredGrid2D",
     "analysis",
-    "assemble",
     "cases1d",
     "component_split",
     "decompose",

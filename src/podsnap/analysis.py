@@ -104,7 +104,7 @@ def compare(named_spectra, thresholds=(0.9999,)) -> SpectrumReport:
     Parameters
     ----------
     named_spectra : sequence of (name, PodSpectrum)
-        At least two entries with unique names.
+        At least two entries with unique names, free of commas and line breaks.
     thresholds : sequence of float
         Energy-capture levels; each reported once, in ascending order.
     """
@@ -112,8 +112,8 @@ def compare(named_spectra, thresholds=(0.9999,)) -> SpectrumReport:
     if len(named_spectra) < 2:
         raise ArgumentError("need at least two spectra to compare")
     names = [name for name, _ in named_spectra]
-    if len(set(names)) != len(names):
-        raise ArgumentError(f"duplicate case names: {names}")
+    if len(set(names)) != len(names) or any(c in n for n in names for c in ",\r\n"):
+        raise ArgumentError(f"case names must be distinct, without ',' or line breaks: {names}")
     thresholds = tuple(sorted({float(t) for t in thresholds}))
 
     cases = []

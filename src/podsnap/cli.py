@@ -70,10 +70,7 @@ def _check_distinct(inputs, outputs) -> None:
 # generation verbs
 # ----------------------------------------------------------------------
 def _cmd_gen_heat1d(args) -> None:
-    ic = cases1d.InitialCondition1D(left=args.ic_left, right=args.ic_right, height=args.ic_height)
-    cfg = cases1d.Heat1DConfig(
-        alpha=args.alpha, dt=args.dt, grid=Grid1D(args.nodes), n_snaps=args.snapshots, ic=ic
-    )
+    cfg = cases1d.Heat1DConfig(grid=Grid1D(args.nodes), n_snaps=args.snapshots)
     _echo(args)
     write_snap(cases1d.solve_heat1d(cfg), args.out)
 
@@ -246,15 +243,8 @@ def build_parser() -> _Parser:
                        help="number of snapshot columns")
     gen1d.add_argument("--out", required=True, help="output SNAP1 path")
 
-    heat, ic = cases1d.Heat1DConfig, cases1d.InitialCondition1D
     p = sub.add_parser("gen-heat1d", help="1D heat-equation snapshots", parents=[gen1d],
                        formatter_class=fmt)
-    p.add_argument("--alpha", type=finite_float, default=heat.alpha, help="thermal diffusivity")
-    p.add_argument("--dt", type=finite_float, default=heat.dt, help="timestep")
-    p.add_argument("--ic-left", type=finite_float, default=ic.left, help="rectangle IC left edge")
-    p.add_argument("--ic-right", type=finite_float, default=ic.right,
-                   help="rectangle IC right edge")
-    p.add_argument("--ic-height", type=finite_float, default=ic.height, help="rectangle IC height")
     p.set_defaults(handler=_cmd_gen_heat1d)
 
     p = sub.add_parser("gen-jump", help="advected-jump snapshots", parents=[gen1d],

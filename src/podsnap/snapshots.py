@@ -6,7 +6,7 @@ degrees of freedom, grouped into named contiguous segments by a
 solve). Matrices round-trip bit-exactly through :func:`write_snap` /
 :func:`read_snap`.
 
-Storage is kept in the order it is given. Assembled and read matrices
+Storage is kept in the order it is given. Generated and read matrices
 are snapshot-major (Fortran order, each snapshot contiguous), the order
 of the SNAP1 payload, so :func:`read_snap` fills one array straight from
 the file and :func:`write_snap` writes each column without a copy.
@@ -43,8 +43,10 @@ class FieldLayout:
         if not self.segments:
             raise DimensionError("layout needs at least one segment")
         names = [name for name, _, _ in self.segments]
-        if len(set(names)) != len(names):
-            raise DimensionError(f"duplicate field names in layout: {names}")
+        # a field name ends up in a file name and a CSV case name
+        if len(set(names)) != len(names) or any(c in n for n in names for c in "/\0,\r\n"):
+            raise DimensionError(f"field names must be distinct, without '/', ',', NUL "
+                                 f"or line breaks: {names}")
         expected = 0
         for name, offset, count in self.segments:
             if offset != expected:
@@ -145,34 +147,6 @@ class SnapshotMatrix:
             and np.array_equal(self.data, other.data)
             and np.array_equal(self.column_labels, other.column_labels)
         )
-
-
-def assemble(columns, layout: FieldLayout, labels) -> SnapshotMatrix:
-    """Stack flat solution vectors into a snapshot matrix.
-
-    Parameters
-    ----------
-    columns : sequence of 1D arrays
-        One snapshot per entry, each of length ``layout.n_rows``.
-    layout : FieldLayout
-        Row partition shared by every column.
-    labels : sequence of float
-        Strictly increasing time/parameter value per column.
-    """
-    cols = [np.asarray(c, dtype=np.float64).ravel() for c in columns]
-    if not cols:
-        raise DimensionError("need at least one column")
-    for j, c in enumerate(cols):
-        if c.shape[0] != layout.n_rows:
-            raise DimensionError(
-                f"column {j} has {c.shape[0]} rows, layout expects {layout.n_rows}"
-            )
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != (len(cols),):
-        raise DimensionError(f"{len(cols)} columns need {len(cols)} labels")
-    if np.any(np.diff(labels) <= 0):
-        raise DataError("column labels must be strictly increasing")
-    return SnapshotMatrix(np.array(cols).T, layout, labels)
 
 
 def matrix_from_array(data, name: str = "field", column_labels=None) -> SnapshotMatrix:

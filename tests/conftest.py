@@ -1,7 +1,8 @@
 """Shared fixtures: the 1D reference snapshot matrices, the exact
-Taylor-Green vortex with the solver loop that advances it, and a
-traced-allocation probe."""
+Taylor-Green vortex with the solver loop that advances it, a
+traced-allocation probe and hand-written SNAP1 bytes."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,13 @@ def random_snapshot_matrix(rng, n_dof, n_snaps, rank=None):
     else:
         data = rng.normal(size=(n_dof, rank)) @ rng.normal(size=(rank, n_snaps))
     return matrix_from_array(data)
+
+
+def one_segment_snap1(name: bytes) -> bytes:
+    """SNAP1 bytes of a 2 x 1 matrix of ones in one segment called
+    ``name``, written byte by byte, so ``write_snap`` need not accept it."""
+    return (b"PODSNAP1" + struct.pack("<IIIH", 2, 1, 1, len(name)) + name
+            + struct.pack("<II", 0, 2) + np.ones(3).tobytes())
 
 
 def traced_peak(fn):

@@ -128,6 +128,13 @@ class TestCompare:
         with pytest.raises(ArgumentError):
             compare([("a", s), ("a", s)])
 
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_name_unfit_for_a_csv_field_rejected(self, name):
+        # names are written unquoted into the report and verdict rows
+        s = power_law_spectrum(-1.0)
+        with pytest.raises(ArgumentError):
+            compare([(name, s), ("h", s)])
+
     def test_single_spectrum_rejected(self):
         with pytest.raises(ArgumentError):
             compare([("a", power_law_spectrum(-1.0))])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import podsnap
+from conftest import one_segment_snap1
 from podsnap import cli
 from podsnap.cli import build_parser, main
 from podsnap.snapshots import read_snap
@@ -256,10 +257,14 @@ class TestExitCodes:
         assert code == 1
         assert not (tmp_path / "c.snap").exists()
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--dt", "--ic-left", "--ic-right", "--ic-height"])
+    def test_deleted_heat1d_flag_is_1(self, tmp_path, flag):
+        # Heat1DConfig and InitialCondition1D set these
+        out = tmp_path / "x.snap"
+        assert run_cli("gen-heat1d", flag, "0.5", "--out", str(out)) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
-        ("gen-heat1d", "--alpha", "nan"),
-        ("gen-heat1d", "--dt", "inf"),
-        ("gen-heat1d", "--ic-height", "-inf"),
         ("gen-sigmoid", "--steepness", "nan"),
         ("analyze", "--in", "a.csv", "b.csv", "--threshold", "nan"),
     ])
@@ -312,6 +317,34 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.splitlines()[-1].startswith("error: (data)")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("name", [b"a/b", b"a\0b", b"x,y"])
+    def test_segment_name_unfit_for_a_file_is_2(self, tmp_path, name):
+        # --components all names one output file after each segment
+        path = tmp_path / "m.snap"
+        path.write_bytes(one_segment_snap1(name))
+        src = str(pathlib.Path(podsnap.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "podsnap.cli", "pod", "--in", str(path),
+             "--out", str(tmp_path / "s.csv"), "--components", "all"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: (data)")
+        assert "Traceback" not in proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["m.snap"]
+
+    def test_case_name_with_a_comma_is_1(self, tmp_path, capsys):
+        # the case name is the file stem, and it becomes a report CSV field
+        spectrum = "index,sigma,sigma_norm,cumulative_energy\n1,2,1,1\n2,1,1,1\n"
+        inputs = [tmp_path / "a,b.csv", tmp_path / "h.csv"]
+        for path in inputs:
+            path.write_text(spectrum)
+        out = tmp_path / "report.csv"
+        assert run_cli("analyze", "--in", *map(str, inputs), "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: (usage)")
+        assert not out.exists()
 
     @pytest.mark.parametrize("sigma, message", [
         (("nan", "1"), "spectrum contains non-finite values"),

@@ -1,4 +1,4 @@
-"""Snapshot matrix assembly, layouts, and SNAP1 file round trips."""
+"""Snapshot matrices, layouts, and SNAP1 file round trips."""
 
 import pickle
 
@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import one_segment_snap1, traced_peak
 from podsnap import pod
+from podsnap.cases1d import Heat1DConfig, solve_heat1d
 from podsnap.errors import DataError, DimensionError, FormatError
 from podsnap.snapshots import (
     FieldLayout,
     SnapshotMatrix,
-    assemble,
     matrix_from_array,
     read_snap,
     write_snap,
@@ -48,33 +48,28 @@ class TestFieldLayout:
         with pytest.raises(DimensionError):
             FieldLayout((("u", 1, 4),))
 
+    @pytest.mark.parametrize("name", ["a/b", "a\0b", "x,y", "u\n", "u\r"])
+    def test_name_unfit_for_a_file_or_csv_rejected(self, name):
+        # a field name becomes part of a sibling file name and a CSV case name
+        with pytest.raises(DimensionError):
+            FieldLayout.from_sizes([("u", 4), (name, 3)])
 
-class TestAssemble:
-    def test_identity_assembly(self):
+
+class TestSnapshotMatrix:
+    def test_column_is_one_snapshot(self):
         cols = [np.arange(4.0), np.arange(4.0) + 10, np.arange(4.0) + 20]
-        m = assemble(cols, FieldLayout.single("u", 4), [0.0, 1.0, 2.0])
+        m = SnapshotMatrix(np.array(cols).T, FieldLayout.single("u", 4), [0.0, 1.0, 2.0])
         assert m.data.shape == (4, 3)
         assert np.array_equal(m.data[:, 1], cols[1])
 
-    def test_length_mismatch_rejected(self):
-        cols = [np.zeros(4), np.zeros(5)]
-        with pytest.raises(DimensionError):
-            assemble(cols, FieldLayout.single("u", 4), [0.0, 1.0])
-
     def test_paper_sized_heat_matrix(self):
         # 128 solutions on 256 nodes -> 256 x 128
-        cols = [np.full(256, float(j)) for j in range(128)]
-        m = assemble(cols, FieldLayout.single("u", 256), np.arange(128.0))
+        m = SnapshotMatrix(np.zeros((256, 128)), FieldLayout.single("u", 256), np.arange(128.0))
         assert m.data.shape == (256, 128)
-
-    def test_non_increasing_labels_rejected(self):
-        cols = [np.zeros(4), np.zeros(4)]
-        with pytest.raises(DataError):
-            assemble(cols, FieldLayout.single("u", 4), [1.0, 1.0])
 
     def test_non_finite_entry_rejected(self):
         with pytest.raises(DataError):
-            assemble([np.array([1.0, np.nan])], FieldLayout.single("u", 2), [0.0])
+            SnapshotMatrix(np.array([[1.0], [np.nan]]), FieldLayout.single("u", 2), [0.0])
 
     def test_data_is_read_only(self):
         m = matrix_from_array(np.ones((3, 2)))
@@ -110,8 +105,7 @@ class TestSnapFile:
     def test_file_size_matches_format(self, tmp_path):
         # header: 8 magic + 12 counts + (2 + len("u") + 8) per segment,
         # then 128 labels and 256*128 values at 8 bytes each
-        cols = [np.zeros(256) for _ in range(128)]
-        m = assemble(cols, FieldLayout.single("u", 256), np.arange(128.0))
+        m = SnapshotMatrix(np.zeros((256, 128)), FieldLayout.single("u", 256), np.arange(128.0))
         path = tmp_path / "heat.snap"
         write_snap(m, path)
         expected = 8 + 12 + (2 + 1 + 8) + 128 * 8 + 256 * 128 * 8
@@ -171,6 +165,13 @@ class TestSnapFile:
         assert error.offset == offset
         assert peak < 1e6
 
+    @pytest.mark.parametrize("name", [b"a/b", b"a\0b", b"x,y"])
+    def test_name_unfit_for_a_file_is_a_format_error(self, tmp_path, name):
+        path = tmp_path / "m.snap"
+        path.write_bytes(one_segment_snap1(name))
+        with pytest.raises(FormatError, match="invalid layout in file"):
+            read_snap(path)
+
     def test_layout_header_mismatch_rejected(self, tmp_path):
         m = matrix_from_array(np.ones((4, 2)))
         path = tmp_path / "m.snap"
@@ -203,7 +204,8 @@ class TestColumnExtraction:
         rng = np.random.default_rng(3)
         layout = FieldLayout.from_sizes([("a", 5), ("b", 2)])
         m = SnapshotMatrix(rng.normal(size=(7, 6)), layout, np.arange(6.0))
-        rebuilt = assemble([m.data[:, j] for j in range(6)], layout, m.column_labels)
+        rebuilt = SnapshotMatrix(np.array([m.data[:, j] for j in range(6)]).T, layout,
+                                 m.column_labels)
         assert rebuilt == m
 
     def test_field_views(self):
@@ -225,8 +227,8 @@ class TestStorageOrder:
         data = np.random.default_rng(5).normal(size=(12, 9))
         return SnapshotMatrix(np.array(data, order=order), self.LAYOUT, np.linspace(0, 1, 9))
 
-    def test_assembled_matrix_is_snapshot_major(self):
-        m = assemble([np.arange(4.0), np.ones(4)], FieldLayout.single("u", 4), [0.0, 1.0])
+    def test_solve_heat1d_returns_a_snapshot_major_matrix(self):
+        m = solve_heat1d(Heat1DConfig(n_snaps=4))
         assert m.data.flags.f_contiguous
 
     def test_given_storage_is_kept(self):
