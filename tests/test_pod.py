@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,26 +87,37 @@ class TestDecompose:
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Names of the svd/eigh/qr calls made from inside ``pod``; an svd
-    entry reads ``svd_values`` when it asked for singular values only."""
+    """Names of the LAPACK and BLAS calls made from inside ``pod``, each
+    prefixed by its library: ``numpy.svd``, ``numpy.eigh`` and
+    ``numpy.qr``; ``scipy.dgeqrt``, ``scipy.dsyrk``, and ``scipy.svd`` or
+    ``scipy.eigh`` with a ``_values`` suffix when only values were asked."""
     calls = []
+
+    def spy(module, name, label, values_only=lambda kwargs: False):
+        original = getattr(module, name)
+
+        def record(*args, **kwargs):
+            calls.append(label + ("_values" if values_only(kwargs) else ""))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+
     for name in ("svd", "eigh", "qr"):
-        original = getattr(np.linalg, name)
-
-        def record(*args, _name=name, _original=original, **kwargs):
-            values_only = _name == "svd" and not kwargs.get("compute_uv", True)
-            calls.append("svd_values" if values_only else _name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(pod_module.np.linalg, name, record)
+        spy(pod_module.np.linalg, name, f"numpy.{name}")
+    sla = pod_module.scipy.linalg
+    spy(sla, "svd", "scipy.svd", lambda kwargs: not kwargs.get("compute_uv", True))
+    spy(sla, "eigh", "scipy.eigh", lambda kwargs: kwargs.get("eigvals_only", False))
+    spy(sla.lapack, "dgeqrt", "scipy.dgeqrt")
+    spy(sla.blas, "dsyrk", "scipy.dsyrk")
     return calls
 
 
 class TestLazyModes:
     """The spectrum is computed by decompose; modes and coeffs on first read."""
 
-    SPECTRUM_CALLS = {"direct": ["svd_values"], "method_of_snapshots": ["eigh"]}
-    FACTOR_CALLS = {"direct": ["svd"], "method_of_snapshots": ["qr"]}
+    SPECTRUM_CALLS = {"direct": ["scipy.dgeqrt", "scipy.svd_values"],
+                      "method_of_snapshots": ["scipy.dsyrk", "scipy.eigh_values"]}
+    FACTOR_CALLS = {"direct": ["numpy.svd"], "method_of_snapshots": ["numpy.eigh", "numpy.qr"]}
 
     @pytest.mark.parametrize("method", ["direct", "method_of_snapshots"])
     def test_spectrum_reads_make_no_vector_call(self, linalg_calls, method):
@@ -124,8 +136,6 @@ class TestLazyModes:
 
         def perturbed(*args, **kwargs):
             out = original(*args, **kwargs)
-            if name == "svd" and not kwargs.get("compute_uv", True):
-                return out
             return (out[0] * (1.0 + 1e-6),) + tuple(out[1:])
 
         monkeypatch.setattr(pod_module.np.linalg, name, perturbed)
@@ -135,6 +145,16 @@ class TestLazyModes:
             basis.modes
         with pytest.raises(NumericalError, match="not orthonormal"):
             basis.coeffs
+
+    def test_gram_eigensolver_failure_raises_on_first_read(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        basis = decompose(random_snapshot_matrix(np.random.default_rng(4), 60, 8),
+                          "method_of_snapshots")
+        monkeypatch.setattr(pod_module.np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericalError, match="did not converge"):
+            basis.modes
 
     @pytest.mark.parametrize("method", ["direct", "method_of_snapshots"])
     def test_repeated_reads_return_the_same_read_only_arrays(self, method):
@@ -179,13 +199,82 @@ class TestSpectrumDrift:
         # below the clamp
         rng = np.random.default_rng(8)
         data = rng.normal(size=(80, 10)) * np.logspace(0, -9, 10)
-        lam, _ = np.linalg.eigh(data.T @ data)
-        lam = lam[np.argsort(lam)[::-1]]
-        lam[lam < RANK_CLAMP * max(lam[0], 0.0)] = 0.0
-        reference = np.sqrt(lam)[:10]
+        m = matrix_from_array(data)
+        sigma = decompose(m, "method_of_snapshots").spectrum.sigma
+
+        def clamped_sqrt(lam):
+            lam = np.sort(lam)[::-1]
+            lam[lam < RANK_CLAMP * max(lam[0], 0.0)] = 0.0
+            return np.sqrt(lam)[:10]
+
+        gram = scipy.linalg.blas.dsyrk(1.0, m.data.T)
+        reference = clamped_sqrt(
+            scipy.linalg.eigh(gram, lower=False, eigvals_only=True, check_finite=False))
         assert 0 < np.count_nonzero(reference == 0.0) < 10
-        sigma = decompose(matrix_from_array(data), "method_of_snapshots").spectrum.sigma
         assert np.array_equal(sigma, reference)
+        # and to round-off of the numpy Gram route above the clamp
+        numpy_route = clamped_sqrt(np.linalg.eigh(data.T @ data)[0])
+        above = numpy_route > 0
+        assert np.array_equal(sigma > 0, above)
+        np.testing.assert_allclose(sigma[above], numpy_route[above],
+                                   rtol=0, atol=1e-12 * numpy_route[0])
+
+
+def graded_matrix(n_dof=3000, n_snaps=120, exponent=5.0, seed=12):
+    """Tall matrix with singular values n^-exponent, n = 1..n_snaps."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(n_dof, n_snaps)))[0]
+    v = np.linalg.qr(rng.normal(size=(n_snaps, n_snaps)))[0]
+    return (u * np.arange(1, n_snaps + 1, dtype=np.float64) ** -exponent) @ v.T
+
+
+class TestQrFirstDirectRoute:
+    """The direct spectrum is the values-only SVD of the QR factor R."""
+
+    @staticmethod
+    def storage_cases():
+        graded = graded_matrix()
+        padded = np.asfortranarray(np.vstack([graded, np.ones((7, graded.shape[1]))]))
+        split = component_split(SnapshotMatrix(
+            padded, FieldLayout.from_sizes((("a", graded.shape[0]), ("b", 7))),
+            np.arange(graded.shape[1], dtype=np.float64)))["a"]
+        assert not (split.data.flags.c_contiguous or split.data.flags.f_contiguous)
+        return {
+            "C": matrix_from_array(np.ascontiguousarray(graded)),
+            "F": matrix_from_array(np.asfortranarray(graded)),
+            "F row slice": split,
+            "wide": matrix_from_array(np.ascontiguousarray(graded.T)),
+        }
+
+    @pytest.mark.parametrize("storage", ["C", "F", "F row slice", "wide"])
+    def test_graded_spectrum_matches_numpy_svd(self, storage):
+        m = self.storage_cases()[storage]
+        before = m.data.tobytes()
+        sigma = decompose(m, "direct").spectrum.sigma
+        reference = np.linalg.svd(m.data, compute_uv=False)
+        assert sigma.size == 120
+        np.testing.assert_allclose(sigma, reference, rtol=0, atol=1e-13 * reference[0])
+        assert m.data.tobytes() == before
+
+
+class TestMethodOfSnapshotsModes:
+    """Modes read after the values-only Gram spectrum."""
+
+    def test_modes_agree_with_direct_route(self):
+        data = graded_matrix(n_dof=400, n_snaps=30, exponent=1.0, seed=3)
+        m = matrix_from_array(np.asfortranarray(data))
+        direct = decompose(m, "direct")
+        mos = decompose(m, "method_of_snapshots")
+        assert mos.n_modes == direct.n_modes == 30
+        np.testing.assert_allclose(mos.modes, direct.modes, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(mos.coeffs, direct.coeffs, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("r", [1, 4, 11])
+    def test_truncated_modes_reach_eckart_young(self, r):
+        m = random_snapshot_matrix(np.random.default_rng(r), 90, 15)
+        basis = decompose(m, "method_of_snapshots")
+        err_sq = np.linalg.norm(truncate(basis, r).reconstruct() - m.data) ** 2
+        assert err_sq == pytest.approx(np.sum(basis.spectrum.sigma[r:] ** 2), rel=1e-9)
 
 
 class TestNormalizedSpectrum:
