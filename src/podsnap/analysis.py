@@ -26,6 +26,8 @@ from .pod import PodSpectrum, modes_for_energy
 NOISE_FLOOR = 1e-14
 
 DEFAULT_FIT_RANGE = (4, 64)
+# energy fraction at which mode counts are reported unless others are asked for
+ENERGY_THRESHOLD = 0.9999
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class SpectrumReport:
     verdicts: tuple[tuple[str, str, float, str], ...]
 
 
-def compare(named_spectra, thresholds=(0.9999,)) -> SpectrumReport:
+def compare(named_spectra, thresholds=(ENERGY_THRESHOLD,)) -> SpectrumReport:
     """Summarize and cross-rank named spectra, fitting over ``DEFAULT_FIT_RANGE``.
 
     Parameters

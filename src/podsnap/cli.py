@@ -4,7 +4,7 @@ Verbs
 -----
 * ``gen-heat1d``, ``gen-jump``, ``gen-sigmoid`` -- 1D snapshot matrices
 * ``gen-cavity2d`` -- 2D freezing cavity (config file required)
-* ``pod`` -- SNAP1 matrix -> spectrum CSV (optionally per component)
+* ``pod`` -- SNAP1 matrix -> spectrum CSV, plus one per field
 * ``analyze`` -- spectrum CSVs -> mode-count report + pairwise verdicts
 * ``repro`` -- the full desk-scale study in one invocation
 
@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from . import analysis, cases1d, pod
-from .errors import ArgumentError, PodsnapError
+from .errors import ArgumentError, DataError, DegenerateSpectrumError, PodsnapError
 from .grids import Grid1D
 from .snapshots import read_snap, write_snap
 from .solidify2d import (
@@ -104,32 +104,46 @@ def _sibling(path, name) -> str:
     return str(path.with_name(f"{path.stem}_{name}{path.suffix or '.csv'}"))
 
 
+def _pod(in_path, out) -> None:
+    """Spectrum CSV of the SNAP1 file ``in_path`` to ``out``, plus one
+    ``<stem>_<field>.csv`` beside it per field when there are several.
+    Every part is decomposed before the first file is written."""
+    matrix = read_snap(in_path)
+    fields = pod.component_split(matrix) if len(matrix.layout.names) > 1 else {}
+    # fields before the whole, which is all zero only if every field is
+    parts = {_sibling(out, name): (name, sub) for name, sub in fields.items()}
+    parts[out] = (matrix.layout.names[0], matrix)
+    _check_distinct([in_path], parts)
+    spectra = {}
+    for path, (name, m) in parts.items():
+        try:  # all zero: the method of snapshots raises, a zero spectrum cannot normalize
+            spectra[path] = pod.decompose(m).spectrum
+            pod.normalized_spectrum(spectra[path])
+        except DegenerateSpectrumError:
+            raise DataError(f"{in_path}: field {name!r} is all zero") from None
+    for path, spectrum in spectra.items():
+        pod.write_spectrum_csv(spectrum, path)
+
+
+def _analyze(in_paths, thresholds, out, verdicts_out) -> None:
+    """Report and verdicts CSVs of the spectrum CSVs ``in_paths``, named by stem."""
+    _check_distinct(in_paths, [out, verdicts_out])
+    named = [(pathlib.Path(p).stem, pod.read_spectrum_csv(p)) for p in in_paths]
+    report = analysis.compare(named, thresholds)
+    analysis.write_report_csv(report, out)
+    analysis.write_verdicts_csv(report, verdicts_out)
+
+
 def _cmd_pod(args) -> None:
     _echo(args)
-    matrix = read_snap(args.in_path)
-    if args.components == "combined":
-        outputs = {args.out: matrix}
-    elif args.components == "all":
-        split = pod.component_split(matrix)
-        outputs = {args.out: matrix, **{_sibling(args.out, n): m for n, m in split.items()}}
-    elif args.components in matrix.layout.names:
-        outputs = {args.out: pod.component_split(matrix)[args.components]}
-    else:
-        raise ArgumentError(f"component {args.components!r} not in layout {matrix.layout.names}")
-    _check_distinct([args.in_path], outputs)
-    for path, m in outputs.items():
-        pod.write_spectrum_csv(pod.decompose(m, method=args.method).spectrum, path)
+    _pod(args.in_path, args.out)
 
 
 def _cmd_analyze(args) -> None:
-    args.threshold = args.threshold or [0.9999]
+    args.threshold = args.threshold or [analysis.ENERGY_THRESHOLD]
     args.verdicts_out = args.verdicts_out or _sibling(args.out, "verdicts")
     _echo(args)
-    _check_distinct(args.in_paths, [args.out, args.verdicts_out])
-    named = [(pathlib.Path(p).stem, pod.read_spectrum_csv(p)) for p in args.in_paths]
-    report = analysis.compare(named, args.threshold)
-    analysis.write_report_csv(report, args.out)
-    analysis.write_verdicts_csv(report, args.verdicts_out)
+    _analyze(args.in_paths, args.threshold, args.out, args.verdicts_out)
 
 
 # ----------------------------------------------------------------------
@@ -152,8 +166,9 @@ def _generate_cavity(cfg: SimConfig, path) -> None:
 
 def _cmd_repro(args) -> None:
     """The whole study. Each cavity case runs in a worker process that
-    writes its own SNAP1 file; the parent then decomposes the 1D cases and
-    each cavity case in turn, read back from that file."""
+    writes its own SNAP1 file, and the 1D cases run on threads. The parent
+    then runs the ``pod`` step on every SNAP1 file it wrote and the
+    ``analyze`` step on each report's spectrum CSVs."""
     out_dir = pathlib.Path(args.out_dir)
     base = (read_config(args.cavity_config) if args.cavity_config is not None
             else default_mushy_config())
@@ -194,33 +209,19 @@ def _cmd_repro(args) -> None:
                       for name, cfg in cavity.items()]
         with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
             futures = {name: pool.submit(fn) for name, fn in tasks.items()}
-            matrices = {name: fut.result() for name, fut in futures.items()}
-            for fut in in_workers:
+            for fut in (*futures.values(), *in_workers):
                 fut.result()
 
-    spectra = {}
-
-    def decompose_all(named):
-        for name, matrix in named.items():
-            spectra[name] = pod.decompose(matrix).spectrum
-            pod.write_spectrum_csv(spectra[name], out_dir / f"{name}.csv")
-
-    for name, matrix in matrices.items():
-        write_snap(matrix, out_dir / f"{name}.snap")
-    decompose_all(matrices)
+    for name in tasks:  # a future holds its matrix until popped
+        write_snap(futures.pop(name).result(), out_dir / f"{name}.snap")
     # POD runs here rather than in the workers, where each forked worker's
-    # BLAS thread pool would contend with the other's. Each cavity matrix is
-    # dropped before the next is read, so the process holds one at a time.
-    for name in cavity:
-        matrix = read_snap(out_dir / f"{name}.snap")
-        split = pod.component_split(matrix)
-        decompose_all({name: matrix} | {f"{name}_{comp}": sub for comp, sub in split.items()})
-        del matrix, split
-
+    # BLAS thread pool would contend with the other's. Each case is read
+    # back from its file, so the process holds one matrix at a time.
+    for name in (*tasks, *cavity):
+        _pod(out_dir / f"{name}.snap", out_dir / f"{name}.csv")
     for label, names in reports.items():
-        report = analysis.compare([(n, spectra[n]) for n in names], (0.9999,))
-        analysis.write_report_csv(report, out_dir / f"report_{label}.csv")
-        analysis.write_verdicts_csv(report, out_dir / f"report_{label}_verdicts.csv")
+        _analyze([out_dir / f"{name}.csv" for name in names], (analysis.ENERGY_THRESHOLD,),
+                 out_dir / f"report_{label}.csv", out_dir / f"report_{label}_verdicts.csv")
     print(f"repro artifacts written to {out_dir}", file=sys.stderr)
 
 
@@ -265,22 +266,17 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output SNAP1 path")
     p.set_defaults(handler=_cmd_gen_cavity2d)
 
-    p = sub.add_parser("pod", help="decompose a SNAP1 matrix into a spectrum CSV",
+    p = sub.add_parser("pod", help="decompose a SNAP1 matrix into spectrum CSVs (also per field)",
                        formatter_class=fmt)
     p.add_argument("--in", dest="in_path", required=True, help="input SNAP1 path")
     p.add_argument("--out", required=True, help="output spectrum CSV path")
-    p.add_argument("--method", choices=("auto", "direct", "method_of_snapshots"),
-                   default="auto", help="decomposition method")
-    p.add_argument("--components", default="combined",
-                   help="'combined', 'all' (combined plus one CSV per field, "
-                   "suffixed _<name>), or one field name")
     p.set_defaults(handler=_cmd_pod)
 
     p = sub.add_parser("analyze", help="compare spectrum CSVs", formatter_class=fmt)
     p.add_argument("--in", dest="in_paths", nargs="+", required=True,
                    help="input spectrum CSV paths (case name = file stem)")
     p.add_argument("--threshold", type=finite_float, action="append", default=None,
-                   help="energy threshold (repeatable; default 0.9999)")
+                   help=f"energy threshold (repeatable; default {analysis.ENERGY_THRESHOLD})")
     p.add_argument("--out", required=True, help="output report CSV path")
     p.add_argument("--verdicts-out", default=None,
                    help="output verdicts CSV path (default: <out>_verdicts.csv)")

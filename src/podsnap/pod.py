@@ -1,11 +1,10 @@
 """Proper orthogonal decomposition of snapshot matrices.
 
-Computes the SVD ``X = U S V^T`` of a snapshot matrix either directly or
-via the method of snapshots (eigendecomposition of the small Gram matrix
-``X^T X``), and provides energy-capture accounting, optimal truncation,
-and per-field splitting of multi-quantity matrices. Every reported
-number comes from the singular values alone, so :func:`decompose`
-computes the spectrum and leaves the modes until they are read.
+The singular values of a snapshot matrix ``X = U S V^T`` come either
+directly or via the method of snapshots (eigenvalues of the small Gram
+matrix ``X^T X``); every reported number comes from them alone, so the
+modes wait until they are read. Also energy-capture accounting, optimal
+truncation, and per-field splitting of multi-quantity matrices.
 
 "Energy" throughout is the cumulative sum of squared singular values
 over their total; the spectrum normalization exposed to reports is
@@ -103,16 +102,13 @@ class PodBasis:
             modes, coeffs = self._factor()
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"mode computation did not converge: {exc}") from exc
-        modes = np.asarray(modes, dtype=np.float64)
-        coeffs = np.asarray(coeffs, dtype=np.float64)
         r = self.n_modes
         if modes.shape != (self.n_dof, r) or coeffs.shape != (r, self.n_snaps):
             raise DimensionError(
                 f"factor shapes {modes.shape} and {coeffs.shape} do not match "
                 f"{self.n_dof} dof, {r} modes and {self.n_snaps} snapshots"
             )
-        gram_defect = modes.T @ modes - np.eye(r)
-        defect = float(np.linalg.norm(gram_defect))
+        defect = float(np.linalg.norm(modes.T @ modes - np.eye(r)))
         if defect > ORTHO_TOL:
             raise NumericalError(
                 f"mode columns are not orthonormal: ||U^T U - I||_F = {defect:.3e}"
@@ -135,7 +131,8 @@ class PodBasis:
 
 
 def _fix_signs(modes: np.ndarray, coeffs: np.ndarray) -> None:
-    """Make each mode's largest-magnitude entry positive (in place)."""
+    """Make each mode's largest-magnitude entry positive, and flip its
+    coefficient row with it (in place): an SVD fixes neither sign."""
     for k in range(modes.shape[1]):
         pivot = np.argmax(np.abs(modes[:, k]))
         if modes[pivot, k] < 0:
@@ -170,23 +167,20 @@ def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:
     ----------
     m : SnapshotMatrix
     method : {"auto", "direct", "method_of_snapshots"}
-        ``direct`` reduces the matrix (or its transpose, when wide) to R by
-        blocked Householder QR and takes the spectrum from a values-only
-        SVD of R; its modes, on first read, come from a thin SVD of the
-        matrix with vectors. The two agree to round-off.
-        ``method_of_snapshots`` takes the spectrum from the eigenvalues of
-        the n_snaps x n_snaps Gram matrix; on first read it solves for the
-        eigenvectors and lifts them, which is much cheaper when
-        n_dof >> n_snaps. ``auto`` picks the method of snapshots when
-        n_dof > 4 * n_snaps.
+        How the spectrum is computed. ``direct`` reduces the matrix (or
+        its transpose, when wide) to R by blocked Householder QR and takes
+        a values-only SVD of R. ``method_of_snapshots`` takes the
+        eigenvalues of the n_snaps x n_snaps Gram matrix, which is much
+        cheaper when n_dof >> n_snaps; eigenvalues below the clamp level
+        become zero and only the positive ones count as modes. ``auto``
+        picks the method of snapshots when n_dof > 4 * n_snaps.
 
     The spectrum is computed with ``scipy.linalg`` alone: numpy and scipy
     may each ship their own OpenBLAS, and alternating between the two
-    makes each wait for the other's idle threads. The modes use
-    ``numpy.linalg``.
-
-    Both methods share a deterministic sign convention (largest-
-    magnitude entry of each mode positive), so they agree mode by mode.
+    makes each wait for the other's idle threads. On either route the
+    modes, on first read, come from one thin SVD of the matrix with
+    ``numpy.linalg``, sliced to the route's mode count and signed by
+    :func:`_fix_signs`, so the two routes agree mode by mode.
     """
     if method == "auto":
         method = "method_of_snapshots" if m.n_dof > 4 * m.n_snaps else "direct"
@@ -200,42 +194,27 @@ def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:
             sigma = scipy.linalg.svd(_r_factor(x), compute_uv=False, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
-
-        def factor():
-            modes, sigma_uv, vt = np.linalg.svd(x, full_matrices=False)
-            coeffs = sigma_uv[:, None] * vt
-            modes = np.ascontiguousarray(modes)
-            _fix_signs(modes, coeffs)
-            return modes, coeffs
-
-        return PodBasis(PodSpectrum(sigma), m.n_dof, m.n_snaps, sigma.size, factor)
-
-    gram = _gram(x)
-    try:
-        lam = scipy.linalg.eigh(gram, lower=False, eigvals_only=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Gram eigenproblem did not converge: {exc}") from exc
-    lam = lam[::-1]
-    lam[lam < RANK_CLAMP * max(lam[0], 0.0)] = 0.0
-    sigma = np.sqrt(lam)[: min(m.n_dof, m.n_snaps)]
-    positive = sigma > 0
-    n_pos = int(np.count_nonzero(positive))
-    if n_pos == 0:
-        raise DegenerateSpectrumError("matrix is numerically zero")
+        n_modes = sigma.size
+    else:
+        try:
+            lam = scipy.linalg.eigh(_gram(x), lower=False, eigvals_only=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Gram eigenproblem did not converge: {exc}") from exc
+        lam = lam[::-1]
+        lam[lam < RANK_CLAMP * max(lam[0], 0.0)] = 0.0
+        sigma = np.sqrt(lam)[: min(m.n_dof, m.n_snaps)]
+        n_modes = int(np.count_nonzero(sigma))
+        if n_modes == 0:
+            raise DegenerateSpectrumError("matrix is numerically zero")
 
     def factor():
-        v_pos = np.linalg.eigh(gram, UPLO="U")[1][:, ::-1][:, :n_pos]
-        lifted = (x @ v_pos) / sigma[:n_pos]
-        # lifting loses orthogonality near the clamp level; a QR pass
-        # restores it without rotating well-separated modes
-        modes, r_factor = np.linalg.qr(lifted)
-        flip = np.where(np.diag(r_factor) < 0, -1.0, 1.0)
-        modes = modes * flip
-        coeffs = sigma[:n_pos, None] * v_pos.T
+        modes, sigma_uv, vt = np.linalg.svd(x, full_matrices=False)
+        modes = np.ascontiguousarray(modes[:, :n_modes])
+        coeffs = sigma_uv[:n_modes, None] * vt[:n_modes]
         _fix_signs(modes, coeffs)
         return modes, coeffs
 
-    return PodBasis(PodSpectrum(sigma), m.n_dof, m.n_snaps, n_pos, factor)
+    return PodBasis(PodSpectrum(sigma), m.n_dof, m.n_snaps, n_modes, factor)
 
 
 def normalized_spectrum(s: PodSpectrum) -> np.ndarray:

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ import podsnap
 from conftest import one_segment_snap1
 from podsnap import cli
 from podsnap.cli import build_parser, main
-from podsnap.snapshots import read_snap
+from podsnap.snapshots import FieldLayout, SnapshotMatrix, read_snap, write_snap
 from podsnap.solidify2d import read_config, run_case
 
 TINY_CAVITY = (
@@ -91,7 +92,7 @@ class TestGenerationVerbs:
             ("gen-jump", "--out", str(tmp_path / "jump.snap")),
             ("gen-sigmoid", "--out", str(tmp_path / "sigmoid.snap")),
             ("gen-cavity2d", "--config", str(cfg_path), "--out", str(snap)),
-            ("pod", "--in", str(snap), "--out", str(csv), "--components", "all"),
+            ("pod", "--in", str(snap), "--out", str(csv)),
             ("analyze", "--in", str(csv), str(tmp_path / "cavity_u.csv"),
              "--out", str(tmp_path / "report.csv")),
         ]
@@ -132,20 +133,24 @@ class TestPodVerb:
         snap = tmp_path / "cavity.snap"
         run_cli("gen-cavity2d", "--config", str(cfg_path), "--out", str(snap))
         csv = tmp_path / "cavity.csv"
-        assert run_cli("pod", "--in", str(snap), "--out", str(csv), "--components", "all") == 0
-        for name in ("u", "v", "p", "T"):
-            assert (tmp_path / f"cavity_{name}.csv").exists()
+        assert run_cli("pod", "--in", str(snap), "--out", str(csv)) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(
+            f"cavity{suffix}.csv" for suffix in ("", "_u", "_v", "_p", "_T"))
 
-    def test_single_component_selection(self, tmp_path):
-        cfg_path = tmp_path / "case.cfg"
-        cfg_path.write_text("[grid]\nnx = 8\nny = 8\n[time]\nn_steps = 4\n[output]\nsnap_every = 2\n")
-        snap = tmp_path / "cavity.snap"
-        run_cli("gen-cavity2d", "--config", str(cfg_path), "--out", str(snap))
-        csv = tmp_path / "p.csv"
-        assert run_cli("pod", "--in", str(snap), "--out", str(csv), "--components", "p") == 0
-        assert csv.exists()
-        assert run_cli("pod", "--in", str(snap), "--out", str(tmp_path / "x.csv"),
-                       "--components", "vorticity") == 1
+    @pytest.mark.parametrize("p_rows", [20, 2], ids=["tall-mos", "short-direct"])
+    def test_all_zero_field_is_2_and_writes_nothing(self, tmp_path, capsys, p_rows):
+        # auto sends a p block of 20 x 3 to the method of snapshots, which
+        # raises on it, and one of 2 x 3 to the direct route, whose all-zero
+        # spectrum cannot be normalized; the message is the same on both
+        data = np.zeros((4 + p_rows, 3))
+        data[:4] = np.random.default_rng(0).normal(size=(4, 3))
+        layout = FieldLayout.from_sizes([("u", 4), ("p", p_rows)])
+        snap = tmp_path / "m.snap"
+        write_snap(SnapshotMatrix(data, layout, np.arange(3.0)), snap)
+        assert run_cli("pod", "--in", str(snap), "--out", str(tmp_path / "m.csv")) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: (data) {snap}: field 'p' is all zero")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.snap"]
 
 
 class TestAnalyzeVerb:
@@ -169,6 +174,20 @@ class TestAnalyzeVerb:
         assert counts["heat"] < counts["jump"]
         verdicts = (tmp_path / "report_verdicts.csv").read_text().splitlines()[1:]
         assert verdicts == ["heat,jump,0.99990000000000001,a<b"]
+
+    def test_readme_1d_pipeline_runs_as_written(self, tmp_path, monkeypatch):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## Command-line pipeline\n")[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                    if line.startswith("podsnap ")]
+        assert [argv[1] for argv in commands] == ["gen-jump", "gen-heat1d", "pod", "pod", "analyze"]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv[1:]) == 0, argv
+        rows = [line.split(",") for line in (tmp_path / "report.csv").read_text().splitlines()[1:]]
+        counts = {row[0]: int(row[2]) for row in rows}
+        assert counts["heat"] < counts["jump"]
 
 
 class TestExitCodes:
@@ -203,14 +222,13 @@ class TestExitCodes:
         assert run_cli("pod", "--in", str(snap), "--out", str(snap)) == 1
 
     def test_component_output_colliding_with_input_is_1(self, tmp_path):
-        # with --components all, out.snap's u sibling is out_u.snap
+        # on a multi-field file, out.snap's u sibling is out_u.snap
         cfg_path = tmp_path / "case.cfg"
         cfg_path.write_text("[grid]\nnx = 8\nny = 8\n[time]\nn_steps = 4\n[output]\nsnap_every = 2\n")
         snap = tmp_path / "study_u.snap"
         run_cli("gen-cavity2d", "--config", str(cfg_path), "--out", str(snap))
         before = snap.read_bytes()
-        code = run_cli("pod", "--in", str(snap), "--out", str(tmp_path / "study.snap"),
-                       "--components", "all")
+        code = run_cli("pod", "--in", str(snap), "--out", str(tmp_path / "study.snap"))
         assert code == 1
         assert snap.read_bytes() == before
         assert not (tmp_path / "study.snap").exists()
@@ -262,6 +280,15 @@ class TestExitCodes:
         # Heat1DConfig and InitialCondition1D set these
         out = tmp_path / "x.snap"
         assert run_cli("gen-heat1d", flag, "0.5", "--out", str(out)) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--method", "direct"), ("--components", "all")])
+    def test_deleted_pod_flag_is_1(self, tmp_path, flag, value):
+        # pod picks its route itself and always writes the per-field CSVs
+        snap = tmp_path / "jump.snap"
+        assert run_cli("gen-jump", "--out", str(snap)) == 0
+        out = tmp_path / "jump.csv"
+        assert run_cli("pod", "--in", str(snap), "--out", str(out), flag, value) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -320,13 +347,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name", [b"a/b", b"a\0b", b"x,y"])
     def test_segment_name_unfit_for_a_file_is_2(self, tmp_path, name):
-        # --components all names one output file after each segment
+        # pod names a file after each field, so reading the SNAP1 file fails
         path = tmp_path / "m.snap"
         path.write_bytes(one_segment_snap1(name))
         src = str(pathlib.Path(podsnap.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "podsnap.cli", "pod", "--in", str(path),
-             "--out", str(tmp_path / "s.csv"), "--components", "all"],
+             "--out", str(tmp_path / "s.csv")],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2
@@ -420,12 +447,23 @@ class TestRepro:
         out_dir, pod_dir = tmp_path / "study", tmp_path / "pod"
         assert run_cli("repro", "--out-dir", str(out_dir), "--cavity-config", str(cfg_path)) == 0
         pod_dir.mkdir()
-        for case in ("cavity_mushy", "cavity_pure"):
+        for case in ("heat", "jump", "sigmoid_steep", "sigmoid_stretched",
+                     "cavity_mushy", "cavity_pure"):
             assert run_cli("pod", "--in", str(out_dir / f"{case}.snap"),
-                           "--out", str(pod_dir / f"{case}.csv"), "--components", "all") == 0
-            for name in (case, *(f"{case}_{comp}" for comp in ("u", "v", "p", "T"))):
-                assert (out_dir / f"{name}.csv").read_bytes() == \
-                    (pod_dir / f"{name}.csv").read_bytes(), name
+                           "--out", str(pod_dir / f"{case}.csv")) == 0
+        written = sorted(p.name for p in pod_dir.iterdir())
+        assert written == sorted(p.name for p in out_dir.glob("*.csv")
+                                 if not p.name.startswith("report_"))
+        for name in written:
+            assert (out_dir / name).read_bytes() == (pod_dir / name).read_bytes(), name
+        reports = {"1d": ["heat", "jump", "sigmoid_steep", "sigmoid_stretched"],
+                   "2d": ["cavity_mushy", "cavity_pure"],
+                   "components": [f"cavity_pure_{comp}" for comp in ("u", "v", "p", "T")]}
+        for label, cases in reports.items():
+            assert run_cli("analyze", "--in", *(str(pod_dir / f"{c}.csv") for c in cases),
+                           "--out", str(pod_dir / f"report_{label}.csv")) == 0
+            for name in (f"report_{label}.csv", f"report_{label}_verdicts.csv"):
+                assert (out_dir / name).read_bytes() == (pod_dir / name).read_bytes(), name
 
     def test_generate_cavity_writes_its_case_and_returns_nothing(self, tmp_path):
         cfg_path = tmp_path / "tiny.cfg"
