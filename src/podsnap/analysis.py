@@ -38,7 +38,6 @@ class DecayFit:
     spectrum length and the round-off floor; logs are natural.
     """
 
-    model: str
     slope: float
     intercept: float
     fit_range: tuple[int, int]
@@ -65,14 +64,12 @@ def fit_decay(s: PodSpectrum, model: str = "loglog", fit_range=DEFAULT_FIT_RANGE
             f"need at least 4 usable modes in [{lo}, {hi}] to fit a decay line"
         )
     sigma = s.sigma[lo - 1 : hi]
-    if np.any(sigma <= 0):
-        raise DegenerateSpectrumError("spectrum has non-positive entries in the fit range")
     n = np.arange(lo, hi + 1, dtype=np.float64)
     x = np.log(n) if model == "loglog" else n
     y = np.log(sigma)
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return DecayFit(model, float(slope), float(intercept), (lo, hi), residual)
+    return DecayFit(float(slope), float(intercept), (lo, hi), residual)
 
 
 @dataclass(frozen=True)

@@ -116,9 +116,8 @@ def _pod(in_path, out) -> None:
     _check_distinct([in_path], parts)
     spectra = {}
     for path, (name, m) in parts.items():
-        try:  # all zero: the method of snapshots raises, a zero spectrum cannot normalize
+        try:
             spectra[path] = pod.decompose(m).spectrum
-            pod.normalized_spectrum(spectra[path])
         except DegenerateSpectrumError:
             raise DataError(f"{in_path}: field {name!r} is all zero") from None
     for path, spectrum in spectra.items():

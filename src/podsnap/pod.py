@@ -68,7 +68,6 @@ class PodSpectrum:
 class EnergyReport:
     """Minimal mode count reaching an energy-capture threshold."""
 
-    threshold: float
     modes_needed: int
     cumulative: np.ndarray = field(repr=False)
 
@@ -76,38 +75,36 @@ class EnergyReport:
 class PodBasis:
     """Spectrum, left singular vectors and scaled coefficients.
 
-    ``spectrum``, ``n_modes``, ``n_dof`` and ``n_snaps`` are set when the
-    basis is made. ``modes`` and ``coeffs`` come from ``factor()`` the
-    first time either is read, and are then checked and made read-only.
-    ``modes`` has orthonormal columns; ``coeffs`` holds the rows of
-    ``S V^T``, so ``modes @ coeffs`` reconstructs the snapshot matrix.
-    The spectrum may be longer than the mode count when trailing
+    ``n_dof`` and ``n_snaps`` are the shape of ``data``. On first read,
+    ``modes`` and ``coeffs`` come from the basis's own thin SVD of
+    ``data`` (a truncated basis slices its ``source``'s), kept to
+    ``n_modes``, signed by :func:`_fix_signs`, checked and made
+    read-only. ``modes`` has orthonormal columns; ``coeffs`` holds the
+    rows of ``S V^T``, so ``modes @ coeffs`` reconstructs the snapshot
+    matrix. The spectrum may be longer than the mode count when trailing
     singular values were clamped to zero (method of snapshots).
     """
 
-    def __init__(self, spectrum: PodSpectrum, n_dof: int, n_snaps: int, n_modes: int, factor):
-        if n_modes > min(n_dof, n_snaps):
-            raise DimensionError("more modes than min(n_dof, n_snaps)")
-        if len(spectrum) < n_modes:
-            raise DimensionError("spectrum shorter than mode count")
+    def __init__(self, spectrum: PodSpectrum, data: np.ndarray, n_modes: int, source=None):
         self.spectrum = spectrum
-        self.n_dof = n_dof
-        self.n_snaps = n_snaps
+        self.n_dof, self.n_snaps = data.shape
         self.n_modes = n_modes
-        self._factor = factor
+        self._data = data
+        self._source = source
 
     @functools.cached_property
-    def _checked_factor(self) -> tuple[np.ndarray, np.ndarray]:
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        r = self.n_modes
+        if self._source is not None:
+            modes, coeffs = self._source._factor
+            return modes[:, :r], coeffs[:r]
         try:
-            modes, coeffs = self._factor()
+            modes, sigma, vt = np.linalg.svd(self._data, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"mode computation did not converge: {exc}") from exc
-        r = self.n_modes
-        if modes.shape != (self.n_dof, r) or coeffs.shape != (r, self.n_snaps):
-            raise DimensionError(
-                f"factor shapes {modes.shape} and {coeffs.shape} do not match "
-                f"{self.n_dof} dof, {r} modes and {self.n_snaps} snapshots"
-            )
+        modes = np.ascontiguousarray(modes[:, :r])
+        coeffs = sigma[:r, None] * vt[:r]
+        _fix_signs(modes, coeffs)
         defect = float(np.linalg.norm(modes.T @ modes - np.eye(r)))
         if defect > ORTHO_TOL:
             raise NumericalError(
@@ -115,16 +112,15 @@ class PodBasis:
             )
         modes.setflags(write=False)
         coeffs.setflags(write=False)
-        self._factor = None
         return modes, coeffs
 
     @property
     def modes(self) -> np.ndarray:
-        return self._checked_factor[0]
+        return self._factor[0]
 
     @property
     def coeffs(self) -> np.ndarray:
-        return self._checked_factor[1]
+        return self._factor[1]
 
     def reconstruct(self) -> np.ndarray:
         return self.modes @ self.coeffs
@@ -178,9 +174,10 @@ def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:
     The spectrum is computed with ``scipy.linalg`` alone: numpy and scipy
     may each ship their own OpenBLAS, and alternating between the two
     makes each wait for the other's idle threads. On either route the
-    modes, on first read, come from one thin SVD of the matrix with
-    ``numpy.linalg``, sliced to the route's mode count and signed by
-    :func:`_fix_signs`, so the two routes agree mode by mode.
+    basis computes its modes, on first read, from its own thin SVD of
+    the matrix with ``numpy.linalg``, kept to the route's mode count, so
+    the two routes agree mode by mode. A numerically zero matrix raises
+    :class:`DegenerateSpectrumError` on either route.
     """
     if method == "auto":
         method = "method_of_snapshots" if m.n_dof > 4 * m.n_snaps else "direct"
@@ -204,17 +201,9 @@ def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:
         lam[lam < RANK_CLAMP * max(lam[0], 0.0)] = 0.0
         sigma = np.sqrt(lam)[: min(m.n_dof, m.n_snaps)]
         n_modes = int(np.count_nonzero(sigma))
-        if n_modes == 0:
-            raise DegenerateSpectrumError("matrix is numerically zero")
-
-    def factor():
-        modes, sigma_uv, vt = np.linalg.svd(x, full_matrices=False)
-        modes = np.ascontiguousarray(modes[:, :n_modes])
-        coeffs = sigma_uv[:n_modes, None] * vt[:n_modes]
-        _fix_signs(modes, coeffs)
-        return modes, coeffs
-
-    return PodBasis(PodSpectrum(sigma), m.n_dof, m.n_snaps, n_modes, factor)
+    if sigma[0] == 0.0:
+        raise DegenerateSpectrumError("matrix is numerically zero")
+    return PodBasis(PodSpectrum(sigma), x, n_modes)
 
 
 def normalized_spectrum(s: PodSpectrum) -> np.ndarray:
@@ -235,17 +224,14 @@ def modes_for_energy(s: PodSpectrum, threshold: float) -> EnergyReport:
     cumulative = energy / total
     modes_needed = int(np.searchsorted(cumulative, threshold, side="left")) + 1
     modes_needed = min(modes_needed, len(s))
-    return EnergyReport(threshold, modes_needed, cumulative)
+    return EnergyReport(modes_needed, cumulative)
 
 
 def truncate(b: PodBasis, r: int) -> PodBasis:
     """Keep the first r modes (the optimal rank-r approximation)."""
     if not 1 <= r <= b.n_modes:
         raise ArgumentError(f"rank {r} outside [1, {b.n_modes}]")
-    return PodBasis(
-        PodSpectrum(b.spectrum.sigma[:r]), b.n_dof, b.n_snaps, r,
-        lambda: (b.modes[:, :r], b.coeffs[:r, :]),
-    )
+    return PodBasis(PodSpectrum(b.spectrum.sigma[:r]), b._data, r, source=b)
 
 
 def component_split(m: SnapshotMatrix) -> dict[str, SnapshotMatrix]:

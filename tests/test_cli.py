@@ -139,9 +139,9 @@ class TestPodVerb:
 
     @pytest.mark.parametrize("p_rows", [20, 2], ids=["tall-mos", "short-direct"])
     def test_all_zero_field_is_2_and_writes_nothing(self, tmp_path, capsys, p_rows):
-        # auto sends a p block of 20 x 3 to the method of snapshots, which
-        # raises on it, and one of 2 x 3 to the direct route, whose all-zero
-        # spectrum cannot be normalized; the message is the same on both
+        # auto sends a p block of 20 x 3 to the method of snapshots and one
+        # of 2 x 3 to the direct route; both raise on an all-zero matrix,
+        # and the message is the same on both
         data = np.zeros((4 + p_rows, 3))
         data[:4] = np.random.default_rng(0).normal(size=(4, 3))
         layout = FieldLayout.from_sizes([("u", 4), ("p", p_rows)])

@@ -168,11 +168,18 @@ class TestLazyModes:
         m = random_snapshot_matrix(np.random.default_rng(6), 60, 12)
         basis = decompose(m, method)
         kept = truncate(basis, 3)
+        chain = truncate(truncate(basis, 5), 2)
         assert linalg_calls == self.SPECTRUM_CALLS[method]
+        # a chain of truncations slices the one factor of the basis it came from
+        assert not chain.modes.flags.writeable and not chain.coeffs.flags.writeable
+        assert linalg_calls == self.SPECTRUM_CALLS[method] + ["numpy.svd"]
+        np.testing.assert_array_equal(chain.modes, basis.modes[:, :2])
+        np.testing.assert_array_equal(chain.coeffs, basis.coeffs[:2])
         err_sq = np.linalg.norm(kept.reconstruct() - m.data) ** 2
         assert err_sq == pytest.approx(np.sum(basis.spectrum.sigma[3:] ** 2), rel=1e-8)
         assert kept.modes.shape == (60, 3)
         np.testing.assert_array_equal(kept.modes, basis.modes[:, :3])
+        assert linalg_calls == self.SPECTRUM_CALLS[method] + ["numpy.svd"]
 
 
 class TestSpectrumDrift:
@@ -376,14 +383,15 @@ class TestComponentSplit:
         assert list(parts) == ["u"]
         assert parts["u"] == m
 
-    def test_zero_block_spectrum(self):
+    @pytest.mark.parametrize("method", ["direct", "method_of_snapshots"])
+    def test_zero_block_spectrum(self, method):
         layout = FieldLayout.from_sizes([("u", 4), ("p", 4)])
         data = np.zeros((8, 3))
         data[:4, :] = np.random.default_rng(0).normal(size=(4, 3))
         m = SnapshotMatrix(data, layout, [0.0, 1.0, 2.0])
         parts = component_split(m)
-        sigma_p = decompose(parts["p"], "direct").spectrum.sigma
-        assert np.all(sigma_p == 0.0)
+        with pytest.raises(DegenerateSpectrumError, match="numerically zero"):
+            decompose(parts["p"], method)
 
     def test_stack_reproduces_input(self):
         rng = np.random.default_rng(13)
