@@ -43,7 +43,7 @@ QR_BLOCK = 32
 
 @dataclass(frozen=True)
 class PodSpectrum:
-    """Non-increasing singular values of one snapshot matrix."""
+    """Non-increasing singular values of one snapshot matrix, ``sigma[0] > 0``."""
 
     sigma: np.ndarray
 
@@ -59,6 +59,8 @@ class PodSpectrum:
             raise DataError("singular values must be non-negative")
         if np.any(np.diff(sigma) > 0):
             raise DataError("singular values must be non-increasing")
+        if sigma[0] == 0.0:
+            raise DegenerateSpectrumError("spectrum is numerically zero and has no energy")
 
     def __len__(self) -> int:
         return self.sigma.size
@@ -176,8 +178,9 @@ def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:
     makes each wait for the other's idle threads. On either route the
     basis computes its modes, on first read, from its own thin SVD of
     the matrix with ``numpy.linalg``, kept to the route's mode count, so
-    the two routes agree mode by mode. A numerically zero matrix raises
-    :class:`DegenerateSpectrumError` on either route.
+    the two routes agree mode by mode. The Gram product squares the data,
+    so the method of snapshots reads a matrix below about 1e-154 as zero
+    and fails above about 1e154; the direct route squares nothing.
     """
     if method == "auto":
         method = "method_of_snapshots" if m.n_dof > 4 * m.n_snaps else "direct"
@@ -201,29 +204,23 @@ def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:
         lam[lam < RANK_CLAMP * max(lam[0], 0.0)] = 0.0
         sigma = np.sqrt(lam)[: min(m.n_dof, m.n_snaps)]
         n_modes = int(np.count_nonzero(sigma))
-    if sigma[0] == 0.0:
-        raise DegenerateSpectrumError("matrix is numerically zero")
     return PodBasis(PodSpectrum(sigma), x, n_modes)
 
 
 def normalized_spectrum(s: PodSpectrum) -> np.ndarray:
     """Decay normalized to the leading value, ``sigma_i / sigma_1``."""
-    if s.sigma[0] <= 0.0:
-        raise DegenerateSpectrumError("cannot normalize an all-zero spectrum")
     return s.sigma / s.sigma[0]
 
 
 def modes_for_energy(s: PodSpectrum, threshold: float) -> EnergyReport:
-    """Minimal N with ``sum_{i<=N} sigma_i^2 / sum sigma_i^2 >= threshold``."""
+    """Minimal N with ``sum_{i<=N} sigma_i^2 / sum sigma_i^2 >= threshold``;
+    sigma is first scaled by 2**-e, e the exponent of sigma_1 (Blue 1978):
+    exact, and only squares below round-off of the total can underflow."""
     if not 0.0 < threshold <= 1.0:
         raise ArgumentError(f"threshold must be in (0, 1], got {threshold}")
-    energy = np.cumsum(s.sigma**2)
-    total = energy[-1]
-    if total <= 0.0:
-        raise DegenerateSpectrumError("all-zero spectrum has no energy")
-    cumulative = energy / total
+    energy = np.cumsum(np.ldexp(s.sigma, -np.frexp(s.sigma[0])[1]) ** 2)
+    cumulative = energy / energy[-1]
     modes_needed = int(np.searchsorted(cumulative, threshold, side="left")) + 1
-    modes_needed = min(modes_needed, len(s))
     return EnergyReport(modes_needed, cumulative)
 
 
@@ -252,12 +249,15 @@ def unit_energy_weighted(m: SnapshotMatrix) -> SnapshotMatrix:
     units (velocity, pressure, temperature) weigh equally in the POD.
 
     Layout and column labels are kept. An all-zero block has no scale
-    and raises :class:`DataError`. Norms sum column by column: the same
-    bits for C and F storage, and no block copied whole.
+    and raises :class:`DataError`. Norms sum column by column, scaled by
+    2**-e, e the exponent of the block's peak: the same bits for C and F
+    storage, no square overflows, and no block copied whole.
     """
     norms = []
     for name, sub in component_split(m).items():
-        norms.append(np.sqrt(sum(np.dot(c, c) for c in map(np.ascontiguousarray, sub.data.T))))
+        e = np.frexp(max(sub.data.max(), -sub.data.min()))[1]
+        columns = (np.ldexp(c, -e) for c in sub.data.T)
+        norms.append(np.ldexp(np.sqrt(sum(np.dot(c, c) for c in columns)), e))
         if norms[-1] == 0.0:
             raise DataError(f"field {name!r} is all zero and cannot be scaled to unit energy")
     counts = [count for _, _, count in m.layout.segments]
@@ -302,5 +302,5 @@ def read_spectrum_csv(path) -> PodSpectrum:
             raise FormatError(f"{path}:{line_no}: sigma {parts[1]!r} is not a number") from exc
     try:
         return PodSpectrum(np.asarray(sigma))
-    except (DataError, DimensionError) as exc:
+    except (DataError, DegenerateSpectrumError, DimensionError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc

@@ -152,6 +152,25 @@ class TestPodVerb:
             f"error: (data) {snap}: field 'p' is all zero")
         assert [p.name for p in tmp_path.iterdir()] == ["m.snap"]
 
+    def test_tiny_field_is_0_and_keeps_its_energy_fractions(self, tmp_path):
+        # a p block of 2 x 3 goes to the direct route under auto; its
+        # squared singular values underflow, yet the normalized spectrum
+        # and energy fractions must be those of the unscaled field
+        data = np.random.default_rng(0).normal(size=(6, 3))
+        layout = FieldLayout.from_sizes([("u", 4), ("p", 2)])
+        tiny = data.copy()
+        tiny[4:] = np.ldexp(data[4:], -570)
+        for stem, d in (("m", tiny), ("ref", data)):
+            write_snap(SnapshotMatrix(d, layout, np.arange(3.0)), tmp_path / f"{stem}.snap")
+            argv = ["--in", str(tmp_path / f"{stem}.snap"), "--out", str(tmp_path / f"{stem}.csv")]
+            assert run_cli("pod", *argv) == 0
+        assert sorted(p.name for p in tmp_path.glob("m*.csv")) == ["m.csv", "m_p.csv", "m_u.csv"]
+
+        def norm_and_energy(path):
+            return [line.split(",")[2:] for line in path.read_text().splitlines()]
+
+        assert norm_and_energy(tmp_path / "m_p.csv") == norm_and_energy(tmp_path / "ref_p.csv")
+
 
 class TestAnalyzeVerb:
     def test_end_to_end_heat_beats_jump(self, tmp_path):
@@ -377,7 +396,8 @@ class TestExitCodes:
         (("nan", "1"), "spectrum contains non-finite values"),
         (("1", "2"), "singular values must be non-increasing"),
         ((), "spectrum needs at least one value"),
-    ], ids=["non-finite", "increasing", "no-rows"])
+        (("0", "0"), "spectrum is numerically zero and has no energy"),
+    ], ids=["non-finite", "increasing", "no-rows", "all-zero"])
     def test_invalid_spectrum_names_its_file_and_is_2(self, tmp_path, capsys, sigma, message):
         header = "index,sigma,sigma_norm,cumulative_energy\n"
         bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"

@@ -332,6 +332,21 @@ class TestModesForEnergy:
         t2 = data.draw(st.floats(t1, 1.0))
         assert modes_for_energy(s, t1).modes_needed <= modes_for_energy(s, t2).modes_needed
 
+    @given(
+        st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=30),
+        st.integers(-1000, 1000),
+        st.floats(0.01, 1.0),
+    )
+    def test_fractions_do_not_depend_on_scale(self, values, k, threshold):
+        # 2**k keeps every value in [1e-6, 1e6] normal and finite, so the
+        # scaled spectrum has the same bits but its exponent; unscaled
+        # squares would overflow or underflow for large |k|
+        sigma = np.sort(np.asarray(values))[::-1]
+        want = modes_for_energy(PodSpectrum(sigma), threshold)
+        got = modes_for_energy(PodSpectrum(np.ldexp(sigma, k)), threshold)
+        assert got.modes_needed == want.modes_needed
+        assert np.array_equal(got.cumulative, want.cumulative)
+
 
 class TestTruncate:
     def test_full_rank_lossless(self):
@@ -450,6 +465,20 @@ class TestUnitEnergyWeighted:
         m = SnapshotMatrix(data, layout, [0.0, 1.0, 2.0])
         with pytest.raises(DataError, match="'p'"):
             unit_energy_weighted(m)
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_weights_do_not_depend_on_block_scale(self, k):
+        # squares of a 2**600 block overflow, those of a 2**-600 block
+        # underflow to zero; the weighted data must not see either
+        layout = FieldLayout.from_sizes([("u", 5), ("p", 3)])
+        data = np.random.default_rng(23).normal(size=(8, 6))
+        scaled = data.copy()
+        scaled[5:] = np.ldexp(data[5:], k)
+
+        def weighted(d):
+            return unit_energy_weighted(SnapshotMatrix(d, layout, np.arange(6.0))).data
+
+        assert np.array_equal(weighted(scaled), weighted(data))
 
 
 class TestProperties:
