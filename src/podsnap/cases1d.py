@@ -117,8 +117,9 @@ def gen_advected_jump(grid: Grid1D, n_snaps: int = N_SNAPS) -> SnapshotMatrix:
     """
     t = _advection_times(n_snaps)
     x = grid.nodes()
-    data = (x[:, None] <= t[None, :]).astype(np.float64)
-    return SnapshotMatrix(data, FieldLayout.single("u", grid.n_nodes), t)
+    # one row per snapshot, so the matrix is snapshot-major
+    rows = (x[None, :] <= t[:, None]).astype(np.float64)
+    return SnapshotMatrix(rows.T, FieldLayout.single("u", grid.n_nodes), t)
 
 
 def gen_sigmoid(grid: Grid1D, n_snaps: int = N_SNAPS, k: float = STEEP_K) -> SnapshotMatrix:
@@ -132,5 +133,5 @@ def gen_sigmoid(grid: Grid1D, n_snaps: int = N_SNAPS, k: float = STEEP_K) -> Sna
         raise ArgumentError(f"steepness must be positive, got {k}")
     t = _advection_times(n_snaps)
     x = grid.nodes()
-    data = expit(k * (t[None, :] - x[:, None]))
-    return SnapshotMatrix(data, FieldLayout.single("u", grid.n_nodes), t)
+    rows = expit(k * (t[:, None] - x[None, :]))
+    return SnapshotMatrix(rows.T, FieldLayout.single("u", grid.n_nodes), t)

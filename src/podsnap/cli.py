@@ -120,6 +120,8 @@ def _pod(in_path, out) -> None:
             spectra[path] = pod.decompose(m).spectrum
         except DegenerateSpectrumError:
             raise DataError(f"{in_path}: field {name!r} is all zero") from None
+        except PodsnapError as exc:  # the class carries the exit code
+            raise type(exc)(f"{in_path}: field {name!r}: {exc}") from exc
     for path, spectrum in spectra.items():
         pod.write_spectrum_csv(spectrum, path)
 

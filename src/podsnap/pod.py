@@ -143,7 +143,8 @@ def _r_factor(x: np.ndarray) -> np.ndarray:
     when ``x`` is wide; it has the same singular values as ``x``."""
     tall = x if x.shape[0] >= x.shape[1] else x.T
     n = tall.shape[1]
-    # f2py hands LAPACK a Fortran-ordered copy, so x is never overwritten
+    # f2py hands LAPACK a copy, so x is never overwritten; a tall
+    # snapshot-major matrix is Fortran-ordered, so the copy is a memcpy
     qr, _, info = scipy.linalg.lapack.dgeqrt(min(QR_BLOCK, n), tall)
     if info != 0:
         raise NumericalError(f"QR factorization failed: dgeqrt info {info}")
@@ -151,10 +152,8 @@ def _r_factor(x: np.ndarray) -> np.ndarray:
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
-    """Upper triangle of ``x.T @ x``; the lower one is left zero. ``trans``
-    follows the storage order, so C- or F-contiguous data is not copied."""
-    if x.flags.c_contiguous:
-        return scipy.linalg.blas.dsyrk(1.0, x.T)
+    """Upper triangle of ``x.T @ x``; the lower one is left zero. A whole
+    snapshot-major matrix is Fortran-ordered and is not copied."""
     return scipy.linalg.blas.dsyrk(1.0, x, trans=1)
 
 
@@ -249,9 +248,9 @@ def unit_energy_weighted(m: SnapshotMatrix) -> SnapshotMatrix:
     units (velocity, pressure, temperature) weigh equally in the POD.
 
     Layout and column labels are kept. An all-zero block has no scale
-    and raises :class:`DataError`. Norms sum column by column, scaled by
-    2**-e, e the exponent of the block's peak: the same bits for C and F
-    storage, no square overflows, and no block copied whole.
+    and raises :class:`DataError`. Norms sum snapshot by snapshot, each a
+    contiguous column, scaled by 2**-e, e the exponent of the block's
+    peak: no square overflows, and no block is copied whole.
     """
     norms = []
     for name, sub in component_split(m).items():

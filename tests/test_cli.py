@@ -152,6 +152,18 @@ class TestPodVerb:
             f"error: (data) {snap}: field 'p' is all zero")
         assert [p.name for p in tmp_path.iterdir()] == ["m.snap"]
 
+    def test_decomposition_failure_names_file_and_field_and_keeps_its_code(self, tmp_path,
+                                                                           capsys):
+        # auto sends 100 x 4 to the method of snapshots, whose Gram
+        # product overflows at 1e200 and whose eigensolver then fails
+        data = np.random.default_rng(0).normal(size=(100, 4)) * 1e200
+        snap = tmp_path / "m.snap"
+        write_snap(SnapshotMatrix(data, FieldLayout.single("p", 100), np.arange(4.0)), snap)
+        assert run_cli("pod", "--in", str(snap), "--out", str(tmp_path / "m.csv")) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"error: (numerical) {snap}: field 'p': Gram eigenproblem did not converge")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.snap"]
+
     def test_tiny_field_is_0_and_keeps_its_energy_fractions(self, tmp_path):
         # a p block of 2 x 3 goes to the direct route under auto; its
         # squared singular values underflow, yet the normalized spectrum

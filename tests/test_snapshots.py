@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import one_segment_snap1, traced_peak
 from podsnap import pod
-from podsnap.cases1d import Heat1DConfig, solve_heat1d
+from podsnap.cases1d import Heat1DConfig, gen_advected_jump, gen_sigmoid, solve_heat1d
 from podsnap.errors import DataError, DimensionError, FormatError
+from podsnap.grids import Grid1D
 from podsnap.snapshots import (
     FieldLayout,
     SnapshotMatrix,
@@ -218,8 +219,8 @@ class TestColumnExtraction:
 
 
 class TestStorageOrder:
-    """Matrices keep the storage they are given; SNAP1 bytes, round trips
-    and spectra do not depend on it."""
+    """Matrices are stored snapshot-major whatever storage they are given;
+    SNAP1 bytes, round trips and spectra do not depend on it."""
 
     LAYOUT = FieldLayout.from_sizes([("u", 7), ("p", 5)])
 
@@ -227,17 +228,38 @@ class TestStorageOrder:
         data = np.random.default_rng(5).normal(size=(12, 9))
         return SnapshotMatrix(np.array(data, order=order), self.LAYOUT, np.linspace(0, 1, 9))
 
-    def test_solve_heat1d_returns_a_snapshot_major_matrix(self):
-        m = solve_heat1d(Heat1DConfig(n_snaps=4))
-        assert m.data.flags.f_contiguous
+    @pytest.mark.parametrize("generate", [
+        lambda: solve_heat1d(Heat1DConfig(n_snaps=4)),
+        lambda: gen_advected_jump(Grid1D(12), 4),
+        lambda: gen_sigmoid(Grid1D(12), 4),
+    ], ids=["heat", "jump", "sigmoid"])
+    def test_generators_build_snapshot_major_matrices(self, generate):
+        # the stored array is a view of the generator's own rows, not a
+        # copy the constructor made
+        data = generate().data
+        assert data.flags.f_contiguous and not data.flags.owndata
 
-    def test_given_storage_is_kept(self):
-        for order in "CF":
-            data = np.array(np.ones((12, 9)), order=order)
-            assert SnapshotMatrix(data, self.LAYOUT, np.arange(9.0)).data is data
-        m = self.stored("F")
+    def test_snapshot_major_input_is_shared(self):
+        data = np.asfortranarray(np.random.default_rng(4).normal(size=(12, 9)))
+        m = SnapshotMatrix(data, self.LAYOUT, np.arange(9.0))
+        assert m.data is data and not data.flags.writeable
         for rows in (m.field("p"), pod.component_split(m)["p"].data):
             assert np.shares_memory(rows, m.data)
+
+    @pytest.mark.parametrize("make", [
+        lambda d: np.ascontiguousarray(d),
+        lambda d: np.asfortranarray(d)[::2],
+        lambda d: np.asfortranarray(d, dtype=np.float32),
+        lambda d: np.ascontiguousarray(np.round(d * 100), dtype=np.int64),
+        lambda d: np.asfortranarray(d, dtype=">f8"),
+    ], ids=["C", "strided", "float32", "int64", "big-endian"])
+    def test_other_input_is_copied_once_snapshot_major(self, make):
+        given = make(np.random.default_rng(4).normal(size=(2200, 9)))
+        m = SnapshotMatrix(given, FieldLayout.single("u", given.shape[0]), np.arange(9.0))
+        assert m.data.flags.f_contiguous and m.data.dtype == np.dtype(np.float64)
+        assert not np.shares_memory(m.data, given)
+        assert np.array_equal(m.data, given.astype(np.float64))
+        assert given.flags.writeable and not m.data.flags.writeable
 
     def test_bytes_and_round_trip_do_not_depend_on_storage(self, tmp_path):
         whole = {order: self.stored(order) for order in "CF"}
@@ -291,8 +313,13 @@ class TestSnapMemory:
         assert peak <= 1.25 * path.stat().st_size
 
     @pytest.mark.parametrize("order", "CF")
-    def test_write_stages_at_most_one_column(self, tmp_path, order):
+    def test_write_stages_no_column(self, tmp_path, order):
+        # against a one-row matrix with the same labels, which costs the
+        # same header, labels and file buffer: a staged column is 38.4 kB
         m = self.matrix(order)
         assert m.data.nbytes >= 10e6
+        one_row = SnapshotMatrix(np.ones((1, m.n_snaps)), FieldLayout.single("u", 1),
+                                 m.column_labels)
+        _, floor = traced_peak(lambda: write_snap(one_row, tmp_path / "one_row.snap"))
         _, peak = traced_peak(lambda: write_snap(m, tmp_path / "m.snap"))
-        assert peak <= 1e6
+        assert peak - floor < m.n_dof * 8 / 4
