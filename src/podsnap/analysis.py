@@ -67,7 +67,11 @@ def fit_decay(s: PodSpectrum, model: str = "loglog", fit_range=DEFAULT_FIT_RANGE
     n = np.arange(lo, hi + 1, dtype=np.float64)
     x = np.log(n) if model == "loglog" else n
     y = np.log(sigma)
-    slope, intercept = np.polyfit(x, y, 1)
+    # centred closed form of the least-squares line; np.polyfit would
+    # call numpy's lstsq and wake its own OpenBLAS for a two-parameter fit
+    x_mean, y_mean = x.mean(), y.mean()
+    slope = np.sum((x - x_mean) * (y - y_mean)) / np.sum((x - x_mean) ** 2)
+    intercept = y_mean - slope * x_mean
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return DecayFit(float(slope), float(intercept), (lo, hi), residual)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit
 
 from .errors import ArgumentError, DataError
 from .grids import Grid1D
@@ -126,12 +125,14 @@ def gen_sigmoid(grid: Grid1D, n_snaps: int = N_SNAPS, k: float = STEEP_K) -> Sna
     """Advected smooth step: entry (i, j) = 1 / (1 + exp(-k (t_j - x_i))).
 
     ``k`` is the front steepness; the advected jump is the k -> infinity
-    limit. Saturation is handled by the numerically stable logistic, so
-    any positive ``k`` is safe.
+    limit. Any positive ``k`` is safe: where ``exp`` overflows the entry
+    is exactly 0, and where it underflows exactly 1.
     """
     if k <= 0:
         raise ArgumentError(f"steepness must be positive, got {k}")
     t = _advection_times(n_snaps)
     x = grid.nodes()
-    rows = expit(k * (t[:, None] - x[None, :]))
+    z = k * (t[:, None] - x[None, :])
+    with np.errstate(over="ignore"):
+        rows = 1.0 / (1.0 + np.exp(-z))
     return SnapshotMatrix(rows.T, FieldLayout.single("u", grid.n_nodes), t)

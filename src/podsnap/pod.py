@@ -27,7 +27,7 @@ from .errors import (
     FormatError,
     NumericalError,
 )
-from .snapshots import FieldLayout, SnapshotMatrix
+from .snapshots import COPY_ROWS, FieldLayout, SnapshotMatrix
 
 # Gram eigenvalues below RANK_CLAMP * lambda_max are round-off; clamp to
 # zero before the square root so near-null directions never go negative.
@@ -152,9 +152,20 @@ def _r_factor(x: np.ndarray) -> np.ndarray:
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
-    """Upper triangle of ``x.T @ x``; the lower one is left zero. A whole
-    snapshot-major matrix is Fortran-ordered and is not copied."""
-    return scipy.linalg.blas.dsyrk(1.0, x, trans=1)
+    """Upper triangle of ``x.T @ x``; the lower one is left zero.
+
+    A whole snapshot-major matrix is Fortran-ordered and is read in place.
+    A row view of one (a ``component_split`` field) is not, and f2py
+    would gather all of it for one call, so its Gram sums ``COPY_ROWS``-row
+    blocks into one array: f2py stages one block at a time.
+    """
+    if x.flags.f_contiguous:
+        return scipy.linalg.blas.dsyrk(1.0, x, trans=1)
+    g = np.zeros((x.shape[1], x.shape[1]), order="F")
+    for start in range(0, x.shape[0], COPY_ROWS):
+        scipy.linalg.blas.dsyrk(1.0, x[start : start + COPY_ROWS], trans=1,
+                                beta=1.0, c=g, overwrite_c=True)
+    return g
 
 
 def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:

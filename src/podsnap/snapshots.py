@@ -128,7 +128,9 @@ class SnapshotMatrix:
             for start in range(0, data.shape[0], COPY_ROWS):
                 copy[start : start + COPY_ROWS] = data[start : start + COPY_ROWS]
             data = copy
-        if not np.all(np.isfinite(data)):
+        # min and max propagate NaN and reach any infinity, and unlike
+        # np.isfinite(data) allocate nothing the size of the matrix
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise DataError("snapshot matrix contains non-finite entries")
         if not np.all(np.isfinite(labels)):
             raise DataError("column labels contain non-finite entries")

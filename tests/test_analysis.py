@@ -48,6 +48,21 @@ class TestFitDecay:
         assert f2.slope == pytest.approx(f1.slope, abs=1e-12)
         assert f2.intercept == pytest.approx(f1.intercept + np.log(123.456), abs=1e-10)
 
+    # slopes keep the whole range above the round-off floor
+    @pytest.mark.parametrize("model, rate", [("loglog", -1.5), ("semilog", -0.2)])
+    def test_matches_polyfit_on_noisy_line(self, model, rate):
+        n = np.arange(1, 81, dtype=float)
+        x = np.log(n) if model == "loglog" else n
+        noise = np.random.default_rng(23).normal(scale=0.05, size=n.size)
+        sigma = np.sort(np.exp(2.0 + rate * x + noise))[::-1]
+        fit = fit_decay(PodSpectrum(sigma), model, (4, 64))
+        xs, ys = x[3:64], np.log(sigma[3:64])
+        slope, intercept = np.polyfit(xs, ys, 1)
+        residual = np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2))
+        assert fit.slope == pytest.approx(slope, rel=1e-12, abs=1e-12)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=1e-12)
+        assert fit.residual == pytest.approx(residual, rel=1e-12, abs=1e-12)
+
     def test_round_off_floor_trims_range(self):
         sigma = np.concatenate([np.exp(-np.arange(20, dtype=float)), np.full(30, 1e-17)])
         fit = fit_decay(PodSpectrum(sigma), "semilog", (1, 50))

@@ -4,8 +4,13 @@ advected jump and sigmoid families."""
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import expit
 
 from podsnap.cases1d import (
+    N_NODES,
+    N_SNAPS,
+    STEEP_K,
+    STRETCHED_K,
     Heat1DConfig,
     InitialCondition1D,
     gen_advected_jump,
@@ -135,6 +140,16 @@ class TestSigmoid:
         off_front = np.abs(x[:, None] - t[None, :]) > 1e-9
         diff = np.abs(sig.data - jump_matrix.data)
         assert diff[off_front].max() < 1e-6
+
+    @pytest.mark.parametrize("k", [STRETCHED_K, STEEP_K, 1e4])
+    def test_matches_expit(self, k):
+        # numpy's exp and libm's differ by an ulp in a few entries; where
+        # 1 + exp(-z) lands on a rounding tie (exp(-z) in [2**53, 2**54),
+        # entries near 1e-16) that ulp doubles, so the quotient can move by 3
+        m = gen_sigmoid(Grid1D(N_NODES), N_SNAPS, k)
+        x = Grid1D(N_NODES).nodes()
+        reference = expit(k * (m.column_labels[None, :] - x[:, None]))
+        np.testing.assert_array_max_ulp(m.data, reference, maxulp=3)
 
     def test_invalid_steepness_rejected(self):
         with pytest.raises(ArgumentError):

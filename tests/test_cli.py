@@ -435,6 +435,18 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_import_leaves_scipy_special_unloaded(self):
+        # scipy.special costs every CLI process and every forked worker
+        # about 4 MB and tens of milliseconds, and no verb needs it
+        src = str(pathlib.Path(podsnap.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, podsnap.cli; print('scipy.special' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestRepro:
     def test_full_pipeline_desk_scale_shrunk(self, tmp_path, capsys):

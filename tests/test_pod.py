@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_snapshot_matrix
+from conftest import random_snapshot_matrix, traced_peak
 from podsnap import pod as pod_module
 from podsnap.errors import ArgumentError, DataError, DegenerateSpectrumError, NumericalError
 from podsnap.pod import (
@@ -21,7 +21,7 @@ from podsnap.pod import (
     unit_energy_weighted,
     write_spectrum_csv,
 )
-from podsnap.snapshots import FieldLayout, SnapshotMatrix, matrix_from_array
+from podsnap.snapshots import COPY_ROWS, FieldLayout, SnapshotMatrix, matrix_from_array
 
 
 def eigh_singular_values(data):
@@ -417,6 +417,22 @@ class TestComponentSplit:
         assert np.array_equal(stacked, m.data)
         for name in layout.names:
             assert np.array_equal(parts[name].column_labels, m.column_labels)
+
+    def test_field_gram_stages_one_block_at_a_time(self):
+        # a field is a row view, not Fortran-contiguous; 1300 rows leave a
+        # partial last block
+        n_snaps = 200
+        layout = FieldLayout.from_sizes([("u", 500), ("v", 1300), ("p", 300)])
+        data = np.asfortranarray(np.random.default_rng(29).normal(size=(2100, n_snaps)))
+        field = component_split(SnapshotMatrix(data, layout, np.arange(n_snaps, dtype=float)))["v"]
+        assert not field.data.flags.f_contiguous and 1300 % COPY_ROWS != 0
+        basis, peak = traced_peak(lambda: decompose(field, "method_of_snapshots"))
+        gram, block = n_snaps * n_snaps * 8, COPY_ROWS * n_snaps * 8
+        assert peak < gram + 1.5 * block
+        contiguous = matrix_from_array(np.asfortranarray(field.data))
+        np.testing.assert_allclose(basis.spectrum.sigma,
+                                   decompose(contiguous, "method_of_snapshots").spectrum.sigma,
+                                   rtol=1e-13, atol=0)
 
     def test_leading_sigma_interlacing(self):
         rng = np.random.default_rng(17)
