@@ -25,7 +25,8 @@ from .pod import PodSpectrum, modes_for_energy
 # from fits; the effective fit range is reported in the result.
 NOISE_FLOOR = 1e-14
 
-DEFAULT_FIT_RANGE = (4, 64)
+# modes (1-based, inclusive) every decay line is fitted over
+FIT_RANGE = (4, 64)
 # energy fraction at which mode counts are reported unless others are asked for
 ENERGY_THRESHOLD = 0.9999
 
@@ -34,8 +35,8 @@ ENERGY_THRESHOLD = 0.9999
 class DecayFit:
     """Least-squares decay line over ``fit_range`` (1-based, inclusive).
 
-    ``fit_range`` is the range actually used after clipping to the
-    spectrum length and the round-off floor; logs are natural.
+    ``fit_range`` is the part of :data:`FIT_RANGE` left after clipping to
+    the spectrum length and the round-off floor; logs are natural.
     """
 
     slope: float
@@ -44,18 +45,15 @@ class DecayFit:
     residual: float
 
 
-def fit_decay(s: PodSpectrum, model: str = "loglog", fit_range=DEFAULT_FIT_RANGE) -> DecayFit:
-    """Fit a decay line through modes ``fit_range[0] .. fit_range[1]``.
+def fit_decay(s: PodSpectrum, model: str = "loglog") -> DecayFit:
+    """Fit a decay line through modes ``FIT_RANGE[0] .. FIT_RANGE[1]``.
 
     Raises a degenerate-spectrum error when fewer than four positive
     entries above the round-off floor remain in the range.
     """
     if model not in ("semilog", "loglog"):
         raise ArgumentError(f"unknown fit model {model!r}")
-    lo, hi = int(fit_range[0]), int(fit_range[1])
-    if lo < 1 or hi < lo:
-        raise ArgumentError(f"bad fit range [{lo}, {hi}]")
-    hi = min(hi, len(s))
+    lo, hi = FIT_RANGE[0], min(FIT_RANGE[1], len(s))
     floor = NOISE_FLOOR * s.sigma[0]
     while hi >= lo and s.sigma[hi - 1] <= floor:
         hi -= 1
@@ -102,7 +100,7 @@ class SpectrumReport:
 
 
 def compare(named_spectra, thresholds=(ENERGY_THRESHOLD,)) -> SpectrumReport:
-    """Summarize and cross-rank named spectra, fitting over ``DEFAULT_FIT_RANGE``.
+    """Summarize and cross-rank named spectra, fitting over ``FIT_RANGE``.
 
     Parameters
     ----------

@@ -89,8 +89,6 @@ def _cmd_gen_sigmoid(args) -> None:
 def _cmd_gen_cavity2d(args) -> None:
     _check_distinct([args.config], [args.out])
     cfg = read_config(args.config)
-    if args.viscosity is not None:
-        cfg = with_viscosity(cfg, args.viscosity)
     _echo(args, cfg)
     write_snap(run_case(cfg), args.out)
 
@@ -126,8 +124,9 @@ def _pod(in_path, out) -> None:
         pod.write_spectrum_csv(spectrum, path)
 
 
-def _analyze(in_paths, thresholds, out, verdicts_out) -> None:
-    """Report and verdicts CSVs of the spectrum CSVs ``in_paths``, named by stem."""
+def _analyze(in_paths, thresholds, out) -> None:
+    """Report CSV ``out`` and its verdicts sibling of the spectrum CSVs ``in_paths``."""
+    verdicts_out = _sibling(out, "verdicts")
     _check_distinct(in_paths, [out, verdicts_out])
     named = [(pathlib.Path(p).stem, pod.read_spectrum_csv(p)) for p in in_paths]
     report = analysis.compare(named, thresholds)
@@ -142,9 +141,8 @@ def _cmd_pod(args) -> None:
 
 def _cmd_analyze(args) -> None:
     args.threshold = args.threshold or [analysis.ENERGY_THRESHOLD]
-    args.verdicts_out = args.verdicts_out or _sibling(args.out, "verdicts")
     _echo(args)
-    _analyze(args.in_paths, args.threshold, args.out, args.verdicts_out)
+    _analyze(args.in_paths, args.threshold, args.out)
 
 
 # ----------------------------------------------------------------------
@@ -187,16 +185,19 @@ def _cmd_repro(args) -> None:
         "sigmoid_stretched": lambda: cases1d.gen_sigmoid(grid, k=cases1d.STRETCHED_K),
     }
     fields = snapshot_layout(base.grid).names
-    parts = [*tasks, *cavity, *(f"{name}_{comp}" for name in cavity for comp in fields)]
-    reports = {"1d": tasks, "2d": cavity, "components": [f"cavity_pure_{c}" for c in fields]}
+    spectra = {name: out_dir / f"{name}.csv" for name in (*tasks, *cavity)}
+    reports = {  # report CSV -> its input spectrum CSVs
+        out_dir / "report_1d.csv": [spectra[name] for name in tasks],
+        out_dir / "report_2d.csv": [spectra[name] for name in cavity],
+        out_dir / "report_components.csv": [_sibling(spectra["cavity_pure"], f) for f in fields],
+    }
     artifacts = (
-        [f"{name}.cfg" for name in cavity]
-        + [f"{name}.snap" for name in (*tasks, *cavity)]
-        + [f"{name}.csv" for name in parts]
-        + [f"report_{label}{kind}.csv" for label in reports for kind in ("", "_verdicts")]
+        [out_dir / f"{name}.cfg" for name in cavity]
+        + [out_dir / f"{name}.snap" for name in spectra]
+        + [*spectra.values(), *(_sibling(spectra[name], f) for name in cavity for f in fields)]
+        + [path for report in reports for path in (report, _sibling(report, "verdicts"))]
     )
-    inputs = [args.cavity_config] if args.cavity_config is not None else []
-    _check_distinct(inputs, [out_dir / name for name in artifacts])
+    _check_distinct([args.cavity_config] if args.cavity_config is not None else [], artifacts)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, cfg in cavity.items():
@@ -218,11 +219,10 @@ def _cmd_repro(args) -> None:
     # POD runs here rather than in the workers, where each forked worker's
     # BLAS thread pool would contend with the other's. Each case is read
     # back from its file, so the process holds one matrix at a time.
-    for name in (*tasks, *cavity):
-        _pod(out_dir / f"{name}.snap", out_dir / f"{name}.csv")
-    for label, names in reports.items():
-        _analyze([out_dir / f"{name}.csv" for name in names], (analysis.ENERGY_THRESHOLD,),
-                 out_dir / f"report_{label}.csv", out_dir / f"report_{label}_verdicts.csv")
+    for name, spectrum in spectra.items():
+        _pod(out_dir / f"{name}.snap", spectrum)
+    for report, in_paths in reports.items():
+        _analyze(in_paths, (analysis.ENERGY_THRESHOLD,), report)
     print(f"repro artifacts written to {out_dir}", file=sys.stderr)
 
 
@@ -262,8 +262,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-cavity2d", help="2D freezing-cavity snapshots",
                        formatter_class=fmt)
     p.add_argument("--config", required=True, help="cavity config file (key = value sections)")
-    p.add_argument("--viscosity", choices=("mushy", "sharp_jump"), default=None,
-                   help="override the config's viscosity model")
     p.add_argument("--out", required=True, help="output SNAP1 path")
     p.set_defaults(handler=_cmd_gen_cavity2d)
 
@@ -278,9 +276,7 @@ def build_parser() -> _Parser:
                    help="input spectrum CSV paths (case name = file stem)")
     p.add_argument("--threshold", type=finite_float, action="append", default=None,
                    help=f"energy threshold (repeatable; default {analysis.ENERGY_THRESHOLD})")
-    p.add_argument("--out", required=True, help="output report CSV path")
-    p.add_argument("--verdicts-out", default=None,
-                   help="output verdicts CSV path (default: <out>_verdicts.csv)")
+    p.add_argument("--out", required=True, help="output report CSV path, plus <stem>_verdicts.csv")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("repro", help="run the full desk-scale study", formatter_class=fmt)

@@ -202,7 +202,8 @@ def read_snap(path) -> SnapshotMatrix:
     """Read a SNAP1 file; inverse of :func:`write_snap`, bit-exact.
 
     The payload is read straight into one snapshot-major array, 8-byte
-    aligned whatever the header length; no staging copy is made.
+    aligned whatever the header length; no staging copy is made. Every
+    format error names ``path`` and the byte offset where decoding failed.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -213,12 +214,12 @@ def read_snap(path) -> SnapshotMatrix:
             offset = fh.tell()
             n = count * np.dtype(dtype).itemsize
             if offset + n > size or fh.readinto(out := np.empty(count, dtype)) != n:
-                raise FormatError(f"truncated file while reading {what}", offset=offset)
+                raise FormatError(f"{path}: truncated file while reading {what}", offset=offset)
             return out
 
         raw = take(8, "magic").tobytes()
         if raw != MAGIC:
-            raise FormatError(f"bad magic {raw!r}, expected {MAGIC!r}", offset=0)
+            raise FormatError(f"{path}: bad magic {raw!r}, expected {MAGIC!r}", offset=0)
         n_dof, n_snaps, n_segments = struct.unpack("<III", take(12, "header"))
         segments = []
         for k in range(n_segments):
@@ -228,7 +229,7 @@ def read_snap(path) -> SnapshotMatrix:
                 name = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(
-                    f"segment {k} name is not UTF-8", offset=fh.tell() - name_len
+                    f"{path}: segment {k} name is not UTF-8", offset=fh.tell() - name_len
                 ) from exc
             offset, count = struct.unpack("<II", take(8, f"segment {k} extent"))
             segments.append((name, offset, count))
@@ -236,17 +237,18 @@ def read_snap(path) -> SnapshotMatrix:
         try:
             layout = FieldLayout(tuple(segments))
         except DimensionError as exc:
-            raise FormatError(f"invalid layout in file: {exc}", offset=pos) from exc
+            raise FormatError(f"{path}: invalid layout in file: {exc}", offset=pos) from exc
         if layout.n_rows != n_dof:
             raise FormatError(
-                f"layout covers {layout.n_rows} rows but header declares {n_dof}", offset=pos
+                f"{path}: layout covers {layout.n_rows} rows but header declares {n_dof}",
+                offset=pos,
             )
         labels = take(n_snaps, "column labels", "<f8")
         data = take(n_dof * n_snaps, "matrix payload", "<f8").reshape(n_snaps, n_dof).T
         pos = fh.tell()
     if pos != size:
-        raise FormatError(f"{size - pos} trailing bytes after payload", offset=pos)
+        raise FormatError(f"{path}: {size - pos} trailing bytes after payload", offset=pos)
     try:
         return SnapshotMatrix(data, layout, labels)
     except (DataError, DimensionError) as exc:
-        raise FormatError(f"invalid payload: {exc}", offset=pos) from exc
+        raise FormatError(f"{path}: invalid payload: {exc}", offset=pos) from exc

@@ -101,11 +101,14 @@ def parse_config_text(text: str) -> SimConfig:
 
 
 def read_config(path) -> SimConfig:
+    """:func:`parse_config_text` of the file ``path``; its format errors name it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config_text(fh.read())
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: config file is not UTF-8 text: {exc.reason}") from exc
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_config(cfg: SimConfig, path) -> None:

@@ -47,7 +47,7 @@ import pytest
 
 from conftest import advance_taylor_green
 from podsnap import cli
-from podsnap.analysis import fit_decay
+from podsnap.analysis import FIT_RANGE, fit_decay
 from podsnap.cases1d import Heat1DConfig, solve_heat1d
 from podsnap.grids import StaggeredGrid2D
 from podsnap.pod import (
@@ -80,13 +80,13 @@ def count_at(spectrum, threshold=THRESHOLD):
     return modes_for_energy(spectrum, threshold).modes_needed
 
 
-def tail_energy_slope(spectrum, fit_range=(4, 64)):
-    """Log-log slope, over n = fit_range[0]..fit_range[1], of the
+def tail_energy_slope(spectrum):
+    """Log-log slope, over the fit window n = 4..64 (``FIT_RANGE``), of the
     relative tail energy e_n = sqrt(sum_{i>n} sigma_i^2 / sum_i sigma_i^2)
     (1-based n), i.e. the relative best rank-n Frobenius error."""
     energy = spectrum.sigma**2
     tail = np.cumsum(energy[::-1])[::-1]  # tail[n] = sum_{i>n} sigma_i^2
-    n = np.arange(fit_range[0], fit_range[1] + 1)
+    n = np.arange(FIT_RANGE[0], FIT_RANGE[1] + 1)
     e = np.sqrt(tail[n] / tail[0])
     return np.polyfit(np.log(n), np.log(e), 1)[0]
 
@@ -152,7 +152,7 @@ class TestCriterion2Jump:
     def test_jump_loglog_slope_matches_stated_band(self, jump_matrix):
         spectrum = decompose(jump_matrix).spectrum
         tail_slope = tail_energy_slope(spectrum)
-        fit = fit_decay(spectrum, "loglog", (4, 64))
+        fit = fit_decay(spectrum, "loglog")
         criterion(
             2, "jump-loglog-slope",
             abs(tail_slope - (-0.5)) <= 0.15 and abs(fit.slope - (-1.0)) <= 0.15,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from podsnap.analysis import (
-    DEFAULT_FIT_RANGE,
     compare,
     fit_decay,
     write_report_csv,
@@ -21,14 +20,14 @@ def power_law_spectrum(exponent, n=128):
 
 class TestFitDecay:
     def test_exact_power_law(self):
-        fit = fit_decay(power_law_spectrum(-0.5), "loglog", (4, 64))
+        fit = fit_decay(power_law_spectrum(-0.5), "loglog")
         assert fit.slope == pytest.approx(-0.5, abs=1e-10)
         assert fit.residual == pytest.approx(0.0, abs=1e-12)
         assert fit.fit_range == (4, 64)
 
     def test_exact_exponential(self):
         sigma = np.exp(-np.arange(1, 31, dtype=float))
-        fit = fit_decay(PodSpectrum(sigma), "semilog", (1, 20))
+        fit = fit_decay(PodSpectrum(sigma), "semilog")
         assert fit.slope == pytest.approx(-1.0, abs=1e-10)
 
     def test_jump_spectrum_slope_tracks_volterra_rate(self, jump_matrix):
@@ -37,14 +36,14 @@ class TestFitDecay:
         # loglog window therefore fits close to slope -1. Frozen from
         # the dense-SVD oracle on the 256 x 128 matrix.
         spectrum = decompose(jump_matrix, "direct").spectrum
-        fit = fit_decay(spectrum, "loglog", (4, 64))
+        fit = fit_decay(spectrum, "loglog")
         assert fit.slope == pytest.approx(-0.9923, abs=2e-3)
 
     def test_scaling_shifts_intercept_only(self):
         s = power_law_spectrum(-0.7)
         scaled = PodSpectrum(123.456 * s.sigma)
-        f1 = fit_decay(s, "loglog", (4, 64))
-        f2 = fit_decay(scaled, "loglog", (4, 64))
+        f1 = fit_decay(s, "loglog")
+        f2 = fit_decay(scaled, "loglog")
         assert f2.slope == pytest.approx(f1.slope, abs=1e-12)
         assert f2.intercept == pytest.approx(f1.intercept + np.log(123.456), abs=1e-10)
 
@@ -55,7 +54,7 @@ class TestFitDecay:
         x = np.log(n) if model == "loglog" else n
         noise = np.random.default_rng(23).normal(scale=0.05, size=n.size)
         sigma = np.sort(np.exp(2.0 + rate * x + noise))[::-1]
-        fit = fit_decay(PodSpectrum(sigma), model, (4, 64))
+        fit = fit_decay(PodSpectrum(sigma), model)
         xs, ys = x[3:64], np.log(sigma[3:64])
         slope, intercept = np.polyfit(xs, ys, 1)
         residual = np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2))
@@ -65,25 +64,21 @@ class TestFitDecay:
 
     def test_round_off_floor_trims_range(self):
         sigma = np.concatenate([np.exp(-np.arange(20, dtype=float)), np.full(30, 1e-17)])
-        fit = fit_decay(PodSpectrum(sigma), "semilog", (1, 50))
-        assert fit.fit_range[1] == 20
+        fit = fit_decay(PodSpectrum(sigma), "semilog")
+        assert fit.fit_range == (4, 20)
 
     def test_too_few_points_degenerate(self):
+        # modes 4..6 are three points
         with pytest.raises(DegenerateSpectrumError):
-            fit_decay(PodSpectrum(np.array([3.0, 2.0, 1.0])), "loglog", (1, 64))
+            fit_decay(power_law_spectrum(-1.0, n=6), "loglog")
 
     def test_range_clipped_to_length(self):
-        fit = fit_decay(power_law_spectrum(-1.0, n=32), "loglog", (4, 64))
+        fit = fit_decay(power_law_spectrum(-1.0, n=32), "loglog")
         assert fit.fit_range == (4, 32)
 
-    def test_bad_model_and_range(self):
-        s = power_law_spectrum(-1.0)
+    def test_unknown_model(self):
         with pytest.raises(ArgumentError):
-            fit_decay(s, "cubic", (4, 64))
-        with pytest.raises(ArgumentError):
-            fit_decay(s, "loglog", (0, 64))
-        with pytest.raises(ArgumentError):
-            fit_decay(s, "loglog", (10, 4))
+            fit_decay(power_law_spectrum(-1.0), "cubic")
 
 
 class TestCompare:

@@ -29,6 +29,20 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def readme_blocks(lang):
+    """The ``lang`` code blocks of the README's command-line section, in order."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command-line pipeline\n")[1]
+    section = section.split("\n## ", 1)[0]
+    return [part.split("```", 1)[0] for part in section.split(f"```{lang}\n")[1:]]
+
+
+def readme_commands(block):
+    """The ``podsnap`` command lines of a README shell block, split as a shell would."""
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("podsnap ")]
+
+
 def assert_every_option_echoed(verb, err):
     """Each option ``verb`` parses shows up as a ``config: <dest> = `` line."""
     verbs = next(
@@ -61,14 +75,11 @@ class TestGenerationVerbs:
         cfg_path.write_text(
             "[grid]\nnx = 12\nny = 12\n"
             "[time]\ndt = 0.02\nn_steps = 10\n"
+            "[material]\nviscosity_model = sharp_jump\n"
             "[output]\nsnap_every = 5\n"
         )
         out = tmp_path / "cavity.snap"
-        code = run_cli(
-            "gen-cavity2d", "--config", str(cfg_path), "--viscosity", "sharp_jump",
-            "--out", str(out),
-        )
-        assert code == 0
+        assert run_cli("gen-cavity2d", "--config", str(cfg_path), "--out", str(out)) == 0
         assert "config: viscosity_model = sharp_jump" in capsys.readouterr().err
         m = read_snap(out)
         assert m.n_snaps == 2
@@ -106,7 +117,8 @@ class TestGenerationVerbs:
         code = run_cli("gen-cavity2d", "--config", str(cfg_path),
                        "--out", str(tmp_path / "c.snap"))
         assert code == 2
-        assert "mu_cap" in capsys.readouterr().err.splitlines()[-1]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: (data) {cfg_path}: unknown key 'mu_cap' in section [material]")
         assert not (tmp_path / "c.snap").exists()
 
     def test_deterministic_output_bytes(self, tmp_path):
@@ -207,11 +219,7 @@ class TestAnalyzeVerb:
         assert verdicts == ["heat,jump,0.99990000000000001,a<b"]
 
     def test_readme_1d_pipeline_runs_as_written(self, tmp_path, monkeypatch):
-        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        section = readme.read_text(encoding="utf-8").split("\n## Command-line pipeline\n")[1]
-        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-        commands = [shlex.split(line, comments=True) for line in block.splitlines()
-                    if line.startswith("podsnap ")]
+        commands = readme_commands(readme_blocks("sh")[0])
         assert [argv[1] for argv in commands] == ["gen-jump", "gen-heat1d", "pod", "pod", "analyze"]
         monkeypatch.chdir(tmp_path)
         for argv in commands:
@@ -219,6 +227,19 @@ class TestAnalyzeVerb:
         rows = [line.split(",") for line in (tmp_path / "report.csv").read_text().splitlines()[1:]]
         counts = {row[0]: int(row[2]) for row in rows}
         assert counts["heat"] < counts["jump"]
+
+    def test_readme_cavity_pipeline_runs_as_written(self, tmp_path, monkeypatch, capsys):
+        # the README's cavity.cfg, on a tiny grid
+        (ini,) = readme_blocks("ini")
+        (tmp_path / "cavity.cfg").write_text(TINY_CAVITY + ini)
+        commands = readme_commands(readme_blocks("sh")[1])
+        assert [argv[1] for argv in commands] == ["gen-cavity2d", "pod"]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv[1:]) == 0, argv
+        assert "config: viscosity_model = sharp_jump" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(
+            f"pure{suffix}.csv" for suffix in ("", "_u", "_v", "_p", "_T"))
 
 
 class TestExitCodes:
@@ -231,10 +252,17 @@ class TestExitCodes:
         assert run_cli("pod", "--in", str(tmp_path / "nope.snap"),
                        "--out", str(tmp_path / "s.csv")) == 2
 
-    def test_bad_magic_is_2(self, tmp_path):
+    def test_bad_magic_is_2(self, tmp_path, capsys):
+        # a SNAP1 format error names the file and the byte offset
         bad = tmp_path / "bad.snap"
-        bad.write_bytes(b"JUNKJUNK" + b"\x00" * 32)
-        assert run_cli("pod", "--in", str(bad), "--out", str(tmp_path / "s.csv")) == 2
+        for content, message in ((b"JUNKJUNK" + b"\x00" * 32, "bad magic b'JUNKJUNK'"),
+                                 (b"JUNK", "truncated file while reading magic")):
+            bad.write_bytes(content)
+            assert run_cli("pod", "--in", str(bad), "--out", str(tmp_path / "s.csv")) == 2
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last.startswith(f"error: (data) {bad}: {message}")
+            assert last.endswith("(byte offset 0)")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.snap"]
 
     def test_numerical_error_is_3(self, tmp_path, capsys):
         # dt = 5 on an 8x8 cavity breaks the advective CFL bound on step 1
@@ -265,19 +293,15 @@ class TestExitCodes:
         assert not (tmp_path / "study.snap").exists()
 
     def test_colliding_outputs_are_1(self, tmp_path):
-        snap = tmp_path / "jump.snap"
-        csv = tmp_path / "jump.csv"
-        run_cli("gen-jump", "--out", str(snap))
-        run_cli("pod", "--in", str(snap), "--out", str(csv))
-        before = csv.read_bytes()
-        other = tmp_path / "jump2.csv"
-        other.write_bytes(before)
-        same = tmp_path / "same.csv"
-        code = run_cli("analyze", "--in", str(csv), str(other),
-                       "--out", str(same), "--verdicts-out", str(same))
+        # the verdicts of --out b.csv go to b_verdicts.csv, here an input
+        spectrum = b"index,sigma,sigma_norm,cumulative_energy\n1,2,1,1\n2,1,1,1\n"
+        inputs = [tmp_path / "a.csv", tmp_path / "b_verdicts.csv"]
+        for path in inputs:
+            path.write_bytes(spectrum)
+        code = run_cli("analyze", "--in", *map(str, inputs), "--out", str(tmp_path / "b.csv"))
         assert code == 1
-        assert csv.read_bytes() == before and other.read_bytes() == before
-        assert not same.exists()
+        assert all(path.read_bytes() == spectrum for path in inputs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b_verdicts.csv"]
 
     @pytest.mark.parametrize("artifact", ["cavity_pure.cfg", "cavity_mushy_T.csv"])
     def test_repro_config_among_its_artifacts_is_1(self, tmp_path, artifact):
@@ -296,12 +320,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("error: (data)")
 
-    @pytest.mark.parametrize("flag", ["--dt", "--n-steps", "--snap-every"])
-    def test_deleted_cavity_flag_is_1(self, tmp_path, flag):
-        # [time] dt, [time] n_steps and [output] snap_every set these
+    @pytest.mark.parametrize("flag, value", [
+        ("--dt", "1"), ("--n-steps", "1"), ("--snap-every", "1"), ("--viscosity", "sharp_jump"),
+    ])
+    def test_deleted_cavity_flag_is_1(self, tmp_path, flag, value):
+        # [time] dt, [time] n_steps, [output] snap_every and
+        # [material] viscosity_model set these
         cfg_path = tmp_path / "case.cfg"
         cfg_path.write_text(TINY_CAVITY)
-        code = run_cli("gen-cavity2d", "--config", str(cfg_path), flag, "1",
+        code = run_cli("gen-cavity2d", "--config", str(cfg_path), flag, value,
                        "--out", str(tmp_path / "c.snap"))
         assert code == 1
         assert not (tmp_path / "c.snap").exists()
@@ -322,6 +349,17 @@ class TestExitCodes:
         assert run_cli("pod", "--in", str(snap), "--out", str(out), flag, value) == 1
         assert not out.exists()
 
+    def test_deleted_analyze_flag_is_1(self, tmp_path):
+        # the verdicts always go to the report's _verdicts sibling
+        spectrum = "index,sigma,sigma_norm,cumulative_energy\n1,2,1,1\n2,1,1,1\n"
+        inputs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in inputs:
+            path.write_text(spectrum)
+        code = run_cli("analyze", "--in", *map(str, inputs), "--out", str(tmp_path / "r.csv"),
+                       "--verdicts-out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
     @pytest.mark.parametrize("argv", [
         ("gen-sigmoid", "--steepness", "nan"),
         ("analyze", "--in", "a.csv", "b.csv", "--threshold", "nan"),
@@ -339,7 +377,7 @@ class TestExitCodes:
                        "--out", str(tmp_path / "c.snap"))
         assert code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "error: (data) bad value for 'dt': 'nan'"
+            f"error: (data) {cfg_path}: bad value for 'dt': 'nan'"
         )
 
     def test_overflowing_viscosity_is_1(self, tmp_path, capsys):
