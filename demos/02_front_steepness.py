@@ -13,7 +13,6 @@ Run:  python demos/02_front_steepness.py
 from podsnap import Grid1D, decompose, modes_for_energy
 from podsnap.analysis import fit_decay
 from podsnap.cases1d import gen_advected_jump, gen_sigmoid
-from podsnap.errors import DegenerateSpectrumError
 
 grid = Grid1D(256)
 
@@ -22,10 +21,8 @@ for label, k in (("k = 5", 5.0), ("k = 15 (stretched)", 15.0), ("k = 50", 50.0),
                  ("k = 100 (steep)", 100.0), ("k = 400", 400.0)):
     spectrum = decompose(gen_sigmoid(grid, 128, k=k)).spectrum
     needed = modes_for_energy(spectrum, 0.9999).modes_needed
-    try:
-        slope = f"{fit_decay(spectrum, 'loglog').slope:8.3f}"
-    except DegenerateSpectrumError:
-        slope = "     (spectrum hits round-off inside the window)"
+    fit = fit_decay(spectrum, "loglog")
+    slope = f"{fit.slope:8.3f}" if fit else "     (spectrum hits round-off inside the window)"
     print(f"{label:20s}     {needed:5d}       {slope}")
 
 spectrum = decompose(gen_advected_jump(grid, 128)).spectrum

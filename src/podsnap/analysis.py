@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateSpectrumError
+from .errors import ArgumentError
 from .pod import PodSpectrum, modes_for_energy
 
 # Entries below NOISE_FLOOR * sigma_1 sit in round-off and are excluded
@@ -45,11 +45,11 @@ class DecayFit:
     residual: float
 
 
-def fit_decay(s: PodSpectrum, model: str = "loglog") -> DecayFit:
+def fit_decay(s: PodSpectrum, model: str = "loglog") -> DecayFit | None:
     """Fit a decay line through modes ``FIT_RANGE[0] .. FIT_RANGE[1]``.
 
-    Raises a degenerate-spectrum error when fewer than four positive
-    entries above the round-off floor remain in the range.
+    Returns None when fewer than four positive entries above the
+    round-off floor remain in the range.
     """
     if model not in ("semilog", "loglog"):
         raise ArgumentError(f"unknown fit model {model!r}")
@@ -58,9 +58,7 @@ def fit_decay(s: PodSpectrum, model: str = "loglog") -> DecayFit:
     while hi >= lo and s.sigma[hi - 1] <= floor:
         hi -= 1
     if hi - lo + 1 < 4:
-        raise DegenerateSpectrumError(
-            f"need at least 4 usable modes in [{lo}, {hi}] to fit a decay line"
-        )
+        return None
     sigma = s.sigma[lo - 1 : hi]
     n = np.arange(lo, hi + 1, dtype=np.float64)
     x = np.log(n) if model == "loglog" else n
@@ -120,13 +118,9 @@ def compare(named_spectra, thresholds=(ENERGY_THRESHOLD,)) -> SpectrumReport:
     cases = []
     for name, spectrum in named_spectra:
         needed = {t: modes_for_energy(spectrum, t).modes_needed for t in thresholds}
-        fits = {}
-        for model in ("loglog", "semilog"):
-            try:
-                fits[model] = fit_decay(spectrum, model)
-            except DegenerateSpectrumError:
-                fits[model] = None
-        cases.append(CaseSummary(name, needed, fits["loglog"], fits["semilog"]))
+        cases.append(CaseSummary(
+            name, needed, fit_decay(spectrum, "loglog"), fit_decay(spectrum, "semilog")
+        ))
 
     verdicts = []
     ordered = sorted(cases, key=lambda c: c.name)

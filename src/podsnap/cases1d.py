@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ArgumentError, DataError
-from .grids import Grid1D
+from .errors import ArgumentError
+from .grids import Grid1D, require_finite
 from .snapshots import FieldLayout, SnapshotMatrix
 
 # Steepness defaults for the two sigmoid variants: "steep" is visually
@@ -47,12 +47,11 @@ class InitialCondition1D:
     height: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if not (0.0 < self.left < self.right < 1.0):
             raise ArgumentError(
                 f"rectangle [{self.left}, {self.right}] must lie strictly inside (0, 1)"
             )
-        if not np.isfinite(self.height):
-            raise DataError("rectangle height must be finite")
 
     def sample(self, grid: Grid1D) -> np.ndarray:
         x = grid.nodes()
@@ -71,6 +70,7 @@ class Heat1DConfig:
     ic: InitialCondition1D = field(default_factory=InitialCondition1D)
 
     def __post_init__(self):
+        require_finite(self)
         if self.alpha <= 0:
             raise ArgumentError(f"alpha must be positive, got {self.alpha}")
         if self.dt <= 0:

@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from . import analysis, cases1d, pod
-from .errors import ArgumentError, DataError, DegenerateSpectrumError, PodsnapError
+from .errors import ArgumentError, PodsnapError
 from .grids import Grid1D
 from .snapshots import read_snap, write_snap
 from .solidify2d import (
@@ -116,8 +116,6 @@ def _pod(in_path, out) -> None:
     for path, (name, m) in parts.items():
         try:
             spectra[path] = pod.decompose(m).spectrum
-        except DegenerateSpectrumError:
-            raise DataError(f"{in_path}: field {name!r} is all zero") from None
         except PodsnapError as exc:  # the class carries the exit code
             raise type(exc)(f"{in_path}: field {name!r}: {exc}") from exc
     for path, spectrum in spectra.items():

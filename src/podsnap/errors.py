@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: argument problems exit 1, data and
-file-format problems exit 2, numerical failures exit 3. Each class
-carries its ``(label, exit code)`` pair as ``exit_status``.
+The CLI maps these onto exit codes: argument problems exit 1, data
+problems exit 2 (a file-format problem is a data problem that knows its
+byte offset), numerical failures exit 3. Each class carries its
+``(label, exit code)`` pair as ``exit_status``.
 """
 
 
@@ -18,15 +19,12 @@ class ArgumentError(PodsnapError, ValueError):
     exit_status = ("usage", 1)
 
 
-class DimensionError(PodsnapError, ValueError):
-    """Array shapes or lengths are inconsistent."""
-
-
 class DataError(PodsnapError, ValueError):
-    """Input data violates a contract (non-finite entries, bad values)."""
+    """Input data violates a contract (shapes, non-finite entries, bad
+    values, a spectrum without energy)."""
 
 
-class FormatError(PodsnapError, ValueError):
+class FormatError(DataError):
     """A file does not conform to its declared format.
 
     Carries the byte offset at which decoding failed, when known.
@@ -49,13 +47,3 @@ class NumericalError(PodsnapError, RuntimeError):
             message = f"{message}; residual={residual:.3e}"
         super().__init__(message)
         self.residual = residual
-
-
-class StabilityError(PodsnapError, RuntimeError):
-    """A timestep violates the stability bound of the chosen scheme."""
-
-    exit_status = ("numerical", 3)
-
-
-class DegenerateSpectrumError(PodsnapError, ValueError):
-    """An operation on a spectrum is undefined (all-zero or empty data)."""

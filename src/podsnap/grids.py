@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError
+
+
+def require_finite(config) -> None:
+    """Raise :class:`ArgumentError` naming the first float field of the
+    dataclass ``config`` that is NaN or infinite."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("float", float) and not np.isfinite(value):
+            raise ArgumentError(f"{type(config).__name__}.{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +58,7 @@ class StaggeredGrid2D:
     ly: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.nx < 2 or self.ny < 2:
             raise ArgumentError(f"need at least 2x2 cells, got {self.nx}x{self.ny}")
         if self.lx <= 0 or self.ly <= 0:

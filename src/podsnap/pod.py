@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    ArgumentError,
-    DataError,
-    DegenerateSpectrumError,
-    DimensionError,
-    FormatError,
-    NumericalError,
-)
+from .errors import ArgumentError, DataError, FormatError, NumericalError
 from .snapshots import COPY_ROWS, FieldLayout, SnapshotMatrix
 
 # Gram eigenvalues below RANK_CLAMP * lambda_max are round-off; clamp to
@@ -52,7 +45,7 @@ class PodSpectrum:
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
         if sigma.ndim != 1 or sigma.size < 1:
-            raise DimensionError("spectrum needs at least one value")
+            raise DataError("spectrum needs at least one value")
         if not np.all(np.isfinite(sigma)):
             raise DataError("spectrum contains non-finite values")
         if np.any(sigma < 0):
@@ -60,7 +53,7 @@ class PodSpectrum:
         if np.any(np.diff(sigma) > 0):
             raise DataError("singular values must be non-increasing")
         if sigma[0] == 0.0:
-            raise DegenerateSpectrumError("spectrum is numerically zero and has no energy")
+            raise DataError("spectrum is numerically zero and has no energy")
 
     def __len__(self) -> int:
         return self.sigma.size
@@ -298,19 +291,19 @@ def read_spectrum_csv(path) -> PodSpectrum:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: spectrum CSV is not UTF-8 text: {exc.reason}") from exc
     if header.strip() != "index,sigma,sigma_norm,cumulative_energy":
-        raise DataError(f"{path}: unexpected spectrum CSV header {header.strip()!r}")
+        raise FormatError(f"{path}: unexpected spectrum CSV header {header.strip()!r}")
     sigma = []
     for line_no, line in enumerate(rows, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            raise DataError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
+            raise FormatError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
         try:
             sigma.append(float(parts[1]))
         except ValueError as exc:
             raise FormatError(f"{path}:{line_no}: sigma {parts[1]!r} is not a number") from exc
     try:
         return PodSpectrum(np.asarray(sigma))
-    except (DataError, DegenerateSpectrumError, DimensionError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, FormatError
+from .errors import DataError, FormatError
 
 MAGIC = b"PODSNAP1"
 
@@ -47,20 +47,20 @@ class FieldLayout:
 
     def __post_init__(self):
         if not self.segments:
-            raise DimensionError("layout needs at least one segment")
+            raise DataError("layout needs at least one segment")
         names = [name for name, _, _ in self.segments]
         # a field name ends up in a file name and a CSV case name
         if len(set(names)) != len(names) or any(c in n for n in names for c in "/\0,\r\n"):
-            raise DimensionError(f"field names must be distinct, without '/', ',', NUL "
-                                 f"or line breaks: {names}")
+            raise DataError(f"field names must be distinct, without '/', ',', NUL "
+                            f"or line breaks: {names}")
         expected = 0
         for name, offset, count in self.segments:
             if offset != expected:
-                raise DimensionError(
+                raise DataError(
                     f"segment {name!r} starts at row {offset}, expected {expected}"
                 )
             if count < 1:
-                raise DimensionError(f"segment {name!r} has row count {count}")
+                raise DataError(f"segment {name!r} has row count {count}")
             expected = offset + count
 
     @classmethod
@@ -111,15 +111,15 @@ class SnapshotMatrix:
         data = np.asarray(data)
         labels = np.ascontiguousarray(column_labels, dtype=np.float64)
         if data.ndim != 2:
-            raise DimensionError(f"data must be 2D, got shape {data.shape}")
+            raise DataError(f"data must be 2D, got shape {data.shape}")
         if data.shape[0] < 1 or data.shape[1] < 1:
-            raise DimensionError(f"empty snapshot matrix: shape {data.shape}")
+            raise DataError(f"empty snapshot matrix: shape {data.shape}")
         if data.shape[0] != layout.n_rows:
-            raise DimensionError(
+            raise DataError(
                 f"layout covers {layout.n_rows} rows but data has {data.shape[0]}"
             )
         if labels.shape != (data.shape[1],):
-            raise DimensionError(
+            raise DataError(
                 f"{data.shape[1]} columns need {data.shape[1]} labels, got {labels.shape}"
             )
         if data.dtype != np.float64 or data.strides[0] != data.itemsize:
@@ -173,7 +173,7 @@ def matrix_from_array(data, name: str = "field", column_labels=None) -> Snapshot
     """
     data = np.asarray(data)
     if data.ndim != 2:
-        raise DimensionError(f"data must be 2D, got shape {data.shape}")
+        raise DataError(f"data must be 2D, got shape {data.shape}")
     if column_labels is None:
         column_labels = np.arange(data.shape[1], dtype=np.float64)
     return SnapshotMatrix(data, FieldLayout.single(name, data.shape[0]), column_labels)
@@ -236,7 +236,7 @@ def read_snap(path) -> SnapshotMatrix:
         pos = fh.tell()
         try:
             layout = FieldLayout(tuple(segments))
-        except DimensionError as exc:
+        except DataError as exc:
             raise FormatError(f"{path}: invalid layout in file: {exc}", offset=pos) from exc
         if layout.n_rows != n_dof:
             raise FormatError(
@@ -250,5 +250,5 @@ def read_snap(path) -> SnapshotMatrix:
         raise FormatError(f"{path}: {size - pos} trailing bytes after payload", offset=pos)
     try:
         return SnapshotMatrix(data, layout, labels)
-    except (DataError, DimensionError) as exc:
+    except DataError as exc:
         raise FormatError(f"{path}: invalid payload: {exc}", offset=pos) from exc

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import ArgumentError, DataError
-from ..grids import StaggeredGrid2D
+from ..grids import StaggeredGrid2D, require_finite
 
 FREEZE_DEFAULT = 650.0
 
@@ -33,6 +33,7 @@ class ViscosityModel:
     jump_factor: float = 1e6
 
     def __post_init__(self):
+        require_finite(self)
         if self.kind not in ("mushy", "sharp_jump"):
             raise ArgumentError(f"unknown viscosity model {self.kind!r}")
         if self.mu_liquid <= 0:
@@ -64,6 +65,7 @@ class CoolingWall:
     t_ambient: float = 550.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.h < 0:
             raise ArgumentError(f"heat transfer coefficient must be >= 0, got {self.h}")
 
@@ -93,6 +95,7 @@ class SimConfig:
     wall_tangential: str = "no_slip"
 
     def __post_init__(self):
+        require_finite(self)
         if self.dt <= 0:
             raise ArgumentError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 1 or self.snap_every < 1:

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
-from ..errors import NumericalError, StabilityError
+from ..errors import NumericalError
 from ..snapshots import FieldLayout, SnapshotMatrix
 from .model import FlowState, SimConfig, initial_state, viscosity_of
 
@@ -346,7 +346,7 @@ class CavitySolver:
     def check_cfl(self, u, v) -> float:
         cfl = self.cfg.dt * (np.max(np.abs(u)) / self.dx + np.max(np.abs(v)) / self.dy)
         if cfl > 1.0:
-            raise StabilityError(
+            raise NumericalError(
                 f"advective CFL number {cfl:.3f} exceeds 1; reduce dt below "
                 f"{self.cfg.dt / cfl:.3e}"
             )
@@ -384,8 +384,8 @@ class CavitySolver:
         for _ in range(cfg.n_steps):
             try:
                 state = self.step(state)
-            except (NumericalError, StabilityError) as exc:
-                raise type(exc)(
+            except NumericalError as exc:
+                raise NumericalError(
                     f"aborted at step {state.step + 1} (t = {state.time + cfg.dt:.6g}): {exc}"
                 ) from exc
             if state.step % cfg.snap_every == 0:

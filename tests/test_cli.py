@@ -161,7 +161,7 @@ class TestPodVerb:
         write_snap(SnapshotMatrix(data, layout, np.arange(3.0)), snap)
         assert run_cli("pod", "--in", str(snap), "--out", str(tmp_path / "m.csv")) == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
-            f"error: (data) {snap}: field 'p' is all zero")
+            f"error: (data) {snap}: field 'p': spectrum is numerically zero and has no energy")
         assert [p.name for p in tmp_path.iterdir()] == ["m.snap"]
 
     def test_decomposition_failure_names_file_and_field_and_keeps_its_code(self, tmp_path,

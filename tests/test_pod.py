@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_snapshot_matrix, traced_peak
 from podsnap import pod as pod_module
-from podsnap.errors import ArgumentError, DataError, DegenerateSpectrumError, NumericalError
+from podsnap.errors import ArgumentError, DataError, FormatError, NumericalError
 from podsnap.pod import (
     RANK_CLAMP,
     PodSpectrum,
@@ -294,7 +294,7 @@ class TestNormalizedSpectrum:
         assert normalized_spectrum(PodSpectrum(np.array([5.0])))[0] == 1.0
 
     def test_zero_spectrum_degenerate(self):
-        with pytest.raises(DegenerateSpectrumError):
+        with pytest.raises(DataError, match="numerically zero"):
             normalized_spectrum(PodSpectrum(np.array([0.0, 0.0])))
 
 
@@ -405,7 +405,7 @@ class TestComponentSplit:
         data[:4, :] = np.random.default_rng(0).normal(size=(4, 3))
         m = SnapshotMatrix(data, layout, [0.0, 1.0, 2.0])
         parts = component_split(m)
-        with pytest.raises(DegenerateSpectrumError, match="numerically zero"):
+        with pytest.raises(DataError, match="numerically zero"):
             decompose(parts["p"], method)
 
     def test_stack_reproduces_input(self):
@@ -564,5 +564,5 @@ class TestSpectrumCsv:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("wrong,header\n1,2\n")
-        with pytest.raises(DataError):
+        with pytest.raises(FormatError):
             read_spectrum_csv(path)

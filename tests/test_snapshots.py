@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import one_segment_snap1, traced_peak
 from podsnap import pod
 from podsnap.cases1d import Heat1DConfig, gen_advected_jump, gen_sigmoid, solve_heat1d
-from podsnap.errors import DataError, DimensionError, FormatError
+from podsnap.errors import DataError, FormatError
 from podsnap.grids import Grid1D
 from podsnap.snapshots import (
     FieldLayout,
@@ -30,29 +30,29 @@ class TestFieldLayout:
         assert layout.rows("p") == slice(4, 7)
 
     def test_gap_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError):
             FieldLayout((("u", 0, 4), ("p", 5, 3)))
 
     def test_overlap_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError):
             FieldLayout((("u", 0, 4), ("p", 3, 3)))
 
     def test_duplicate_names_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError):
             FieldLayout.from_sizes([("u", 4), ("u", 3)])
 
     def test_empty_segment_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError):
             FieldLayout.from_sizes([("u", 4), ("p", 0)])
 
     def test_nonzero_start_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError):
             FieldLayout((("u", 1, 4),))
 
     @pytest.mark.parametrize("name", ["a/b", "a\0b", "x,y", "u\n", "u\r"])
     def test_name_unfit_for_a_file_or_csv_rejected(self, name):
         # a field name becomes part of a sibling file name and a CSV case name
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError):
             FieldLayout.from_sizes([("u", 4), (name, 3)])
 
 

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.optimize import brentq
 
 from conftest import advance_taylor_green, taylor_green
-from podsnap.errors import ArgumentError, DataError, FormatError, NumericalError, StabilityError
+from podsnap.errors import ArgumentError, DataError, FormatError, NumericalError
 from podsnap.grids import StaggeredGrid2D
 from podsnap.pod import unit_energy_weighted
 from podsnap.solidify2d import (
@@ -637,6 +638,49 @@ class TestTemperatureStep:
         assert temps.max() <= 700.0 + 1e-9
 
 
+def manufactured_temperature_error(n, h, k=1e-2, dt=1e3, t_ambient=550.0):
+    """Max-norm error, relative to the amplitude, of one temperature step
+    at rest on the unit square at n x n whose exact solution is
+    T = t_ambient + A cos(a x) cos(pi y).
+
+    The y walls and the left wall are adiabatic for this T, and
+    ``k a tan(a) = h`` makes the right wall's Robin condition hold
+    (h = 0 takes a = pi). The old field is ``T - dt k lap(T)``, so the
+    continuous ``T'/dt - k lap(T') = T_old/dt`` returns T; at dt = 1e3
+    the error is that of the nearly steady diffusion operator.
+    """
+    a = np.pi if h == 0 else brentq(lambda a: k * a * np.tan(a) - h, 0.0, np.pi / 2 - 1e-12)
+    cfg = SimConfig(grid=StaggeredGrid2D(n, n), dt=dt, thermal_diffusivity=k,
+                    right_wall=CoolingWall(h=h, t_ambient=t_ambient))
+    amplitude = 10.0
+    centres = (np.arange(n) + 0.5) / n
+    x, y = np.meshgrid(centres, centres)
+    shape = amplitude * np.cos(a * x) * np.cos(np.pi * y)
+    laplacian = -(a**2 + np.pi**2) * shape
+    state = dataclasses.replace(initial_state(cfg), temp=t_ambient + shape - dt * k * laplacian)
+    g = cfg.grid
+    out = CavitySolver(cfg).temperature_step(state, np.zeros(g.u_shape), np.zeros(g.v_shape))
+    return np.max(np.abs(out - (t_ambient + shape))) / amplitude
+
+
+class TestTemperatureManufacturedSolution:
+    # Roache 2002, as for the momentum operator. Max-norm errors over
+    # 16/32/64/128 at k = 1e-2, dt = 1e3: adiabatic 3.2e-3 .. 5.0e-5 (order
+    # 2.00); Robin at h = 10, 4.9e-2 .. 6.1e-3 (order 1.00). The wall term
+    # h (T_cell - t_ambient) / dx takes the cell-centre value half a cell
+    # from the wall; h / (1 + h dx / (2 k)) in its place eliminates the
+    # wall value and reads order 2.00
+    def test_adiabatic_walls_second_order(self):
+        errors = np.array([manufactured_temperature_error(n, 0.0) for n in (16, 32, 64)])
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert np.all(orders >= 1.8), (errors, orders)
+
+    def test_robin_wall_first_order(self):
+        errors = np.array([manufactured_temperature_error(n, 10.0) for n in (16, 32, 64)])
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert np.all(orders >= 0.9), (errors, orders)
+
+
 class TestSeparableSolves:
     @pytest.mark.parametrize(
         "operator, label", [("pressure", "pressure Poisson"), ("temperature", "temperature")]
@@ -695,7 +739,7 @@ class TestStepping:
 
     def test_cfl_violation_raises(self):
         cfg = small_config(dt=50.0, t_ref=600.0, n_steps=5, snap_every=1)
-        with pytest.raises(StabilityError) as err:
+        with pytest.raises(NumericalError) as err:
             run_case(cfg)
         assert "CFL" in str(err.value)
         assert "step" in str(err.value)
