@@ -125,11 +125,11 @@ def gen_sigmoid(grid: Grid1D, n_snaps: int = N_SNAPS, k: float = STEEP_K) -> Sna
     """Advected smooth step: entry (i, j) = 1 / (1 + exp(-k (t_j - x_i))).
 
     ``k`` is the front steepness; the advected jump is the k -> infinity
-    limit. Any positive ``k`` is safe: where ``exp`` overflows the entry
-    is exactly 0, and where it underflows exactly 1.
+    limit. Any finite positive ``k`` is safe: where ``exp`` overflows the
+    entry is exactly 0, and where it underflows exactly 1.
     """
-    if k <= 0:
-        raise ArgumentError(f"steepness must be positive, got {k}")
+    if not (np.isfinite(k) and k > 0):
+        raise ArgumentError(f"steepness k must be finite and positive, got {k}")
     t = _advection_times(n_snaps)
     x = grid.nodes()
     z = k * (t[:, None] - x[None, :])

@@ -18,18 +18,20 @@ All three implicit operators are five-point stencils. The pressure and
 temperature operators have constant coefficients on this uniform grid,
 so each is a 1D operator along y plus one along x, solved by fast
 diagonalisation in the eigenbases of the two (Lynch, Rice & Thomas
-1964). Each momentum component keeps one matrix, refilled every step:
-one product gives the explicit half, one SuperLU factor the implicit.
+1964). The momentum operators move with the viscosity every step. Each
+is applied as a stencil, which gives the explicit half, and solved by a
+banded Cholesky factor of its symmetric part (implicit viscosity plus
+``I/dt``) with iterative refinement removing the small skew convective
+remainder.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# unused here; perfbench/spans.py patches ``solver.spla``, so the name stays
+import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from ..errors import NumericalError
 from ..snapshots import FieldLayout, SnapshotMatrix
@@ -37,93 +39,40 @@ from .model import FlowState, SimConfig, initial_state, viscosity_of
 
 DIV_TOL = 1e-8
 SOLVE_TOL = 1e-10
-# minimum-degree column ordering on A^T + A: the momentum systems are
-# structurally symmetric, and on them this cuts LU fill by about 40 %
-# against the default COLAMD
-_PERMC_SPEC = "MMD_AT_PLUS_A"
-# the momentum systems arrive already symmetrically permuted into that
-# ordering (see _Pattern), so their per-step factor keeps the natural
-# order; single-column panels suit a five-point operator this sparse.
-# Together these take a late-step 64x64 factor from about 11 to 7 ms at
-# unchanged fill (2-vCPU x86-64 VM)
-_MOMENTUM_FACTOR = {"permc_spec": "NATURAL", "panel_size": 1}
+# refinement sweeps per momentum solve before it counts as not converged.
+# The sweeps stop once the error estimate fails to halve, and halving from
+# ||w|| reaches round-off (2^-52 ||w||) in 52 sweeps. A cavity solve takes
+# about 2, Taylor-Green up to 12, and flow at viscosity 1e-4 near the CFL
+# limit up to 23
+MAX_SWEEPS = 60
+_EPS = np.finfo(float).eps
 
 
-def _five_point(ny, nx):
-    """(rows, cols) of the five-point operator on an ny*nx field, in the
-    entry order of :meth:`CavitySolver._stencil` (diag/east/west/north/south)."""
-    idx = np.arange(ny * nx).reshape(ny, nx)
-    blocks = [
-        (idx, idx),
-        (idx[:, :-1], idx[:, 1:]),
-        (idx[:, 1:], idx[:, :-1]),
-        (idx[:-1, :], idx[1:, :]),
-        (idx[1:, :], idx[:-1, :]),
-    ]
-    rows = np.concatenate([r.ravel() for r, _ in blocks])
-    cols = np.concatenate([c.ravel() for _, c in blocks])
-    return rows, cols
+def _apply(coeffs, shift, w):
+    """``(shift I + L) w`` for the five-point coefficients ``coeffs`` of
+    :meth:`CavitySolver._stencil` and a field ``w`` of their shape."""
+    diag, east, west, north, south = coeffs
+    out = (shift + diag) * w
+    out[:, :-1] += east[:, :-1] * w[:, 1:]
+    out[:, 1:] += west[:, 1:] * w[:, :-1]
+    out[:-1] += north[:-1] * w[1:]
+    out[1:] += south[1:] * w[:-1]
+    return out
 
 
-@functools.lru_cache(maxsize=8)
-def _mmd_position(ny, nx):
-    """Position of each node of an ny*nx field in the ``MMD_AT_PLUS_A``
-    ordering of the five-point structure.
-
-    The ordering reads the structure only, so one probe factor of a
-    diagonally dominant matrix of this structure yields the ordering
-    SuperLU derives from every step's matrix. Cached per field shape, the
-    probe is paid once per grid rather than once per solver; only this
-    array is shared, as caching whole patterns raised peak RSS by about
-    7 MB at 64x64.
-    """
-    rows, cols = _five_point(ny, nx)
-    n = ny * nx
-    probe = sp.csc_matrix((np.where(rows == cols, 5.0, -1.0), (rows, cols)), shape=(n, n))
-    # the panel width shapes the numeric factor only; perm_c is a view
-    # that would keep the probe's whole factor alive, so keep a copy
-    lu = spla.splu(probe, permc_spec=_PERMC_SPEC, panel_size=1)
-    position = lu.perm_c.astype(np.int64)
-    position.flags.writeable = False
-    return position
-
-
-class _Pattern:
-    """The five-point operator on an ny*nx field as one CSC matrix, built
-    once per solver and refilled in place each step.
-
-    The matrix is symmetrically permuted into its ``MMD_AT_PLUS_A``
-    ordering (:func:`_mmd_position`): row and column ``k`` are node
-    ``perm[k]`` of the field. ``order`` gathers the flat values of
-    :meth:`CavitySolver._stencil` into the CSC data order and ``diagonal``
-    marks the diagonal there. SuperLU keeps no reference to the matrix
-    it factors, so a refill leaves earlier factors intact.
-    """
-
-    __slots__ = ("n", "perm", "order", "diagonal", "matrix")
-
-    def __init__(self, ny, nx):
-        self.n = ny * nx
-        position = _mmd_position(ny, nx)
-        self.perm = np.argsort(position)
-        rows, cols = _five_point(ny, nx)
-        prow, pcol = position[rows], position[cols]
-        # column-major sort key; (row, col) pairs are unique
-        self.order = np.argsort(pcol * self.n + prow)
-        self.diagonal = np.flatnonzero(self.order < self.n)
-        indices = prow[self.order].astype(np.int32)
-        counts = np.bincount(pcol, minlength=self.n)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        self.matrix = sp.csc_matrix(
-            (np.zeros(self.order.size), indices, indptr), shape=(self.n, self.n)
-        )
-
-    def refill(self, values, shift):
-        """The matrix of ``values`` plus ``shift`` on the diagonal, in place."""
-        data = self.matrix.data
-        np.take(values, self.order, out=data)
-        data[self.diagonal] += shift
-        return self.matrix
+def _symmetric_band(coeffs, shift):
+    """The symmetric part of ``shift I + L`` in LAPACK lower band storage:
+    nodes in natural row-major order, so the bandwidth is the row length
+    ``m`` and row ``d`` of the returned ``(m + 1, n)`` array holds the
+    ``d``-th subdiagonal."""
+    diag, east, west, north, south = coeffs
+    rows, m = diag.shape
+    # node-major, so the transpose is the Fortran-ordered (m + 1, n) array
+    band = np.zeros((rows * m, m + 1))
+    band[:, 0] = (shift + diag).ravel()
+    band.reshape(rows, m, m + 1)[:, :-1, 1] = 0.5 * (east[:, :-1] + west[:, 1:])
+    band[:-m, m] = 0.5 * (north[:-1] + south[1:]).ravel()
+    return band.T
 
 
 def _check_residual(sol, residual, rhs, tol, label):
@@ -175,12 +124,12 @@ class CavitySolver:
 
     The pressure and temperature operators are :class:`_Separable`, built
     from Neumann :func:`_second_difference` matrices at construction.
-    Each momentum component owns one :class:`_Pattern` matrix, permuted
-    into the grid's shared ``MMD_AT_PLUS_A`` ordering. The operator moves
-    with the viscosity field, so each step refills that matrix in place,
-    takes the explicit half from it by one product and factors it in
-    natural order with single-column panels; the right-hand side is
-    permuted in and the solution out. A failed factor raises
+    The momentum operators move with the viscosity field, so each step
+    rebuilds them as five-point coefficient arrays (:meth:`_stencil`)
+    and solves them by :meth:`_solve_component`: a banded Cholesky factor
+    of the symmetric part, then iterative refinement against the full
+    operator. A factor that is not positive definite and a refinement
+    that has not converged in ``MAX_SWEEPS`` sweeps raise
     :class:`NumericalError`, as does every solve that fails the residual
     check of :func:`_check_residual`.
     """
@@ -190,8 +139,6 @@ class CavitySolver:
         g = cfg.grid
         self.dx, self.dy = g.dx, g.dy
         self._ghost = -1.0 if cfg.wall_tangential == "no_slip" else 1.0
-        self._u_pattern = _Pattern(g.ny, g.nx - 1)
-        self._v_pattern = _Pattern(g.nx, g.ny - 1)
         ay, ax = _second_difference(g.ny, g.dy), _second_difference(g.nx, g.dx)
         self._pressure = _Separable(ay, ax, 0.0, "pressure Poisson")
         # the constant mode comes first in ascending order; an infinite
@@ -219,8 +166,9 @@ class CavitySolver:
     # momentum
     # ------------------------------------------------------------------
     def _stencil(self, wb, ob, mu, d_own, d_other) -> np.ndarray:
-        """Values of L = (conv - diff) / 2 on the interior faces normal to
-        axis 1, flat in :func:`_five_point` entry order; ``wb``/``d_own``
+        """Coefficients of L = (conv - diff) / 2 on the interior faces normal
+        to axis 1, stacked as diagonal, east, west, north and south fields;
+        a coupling that would leave the field is never read. ``wb``/``d_own``
         and ``ob``/``d_other`` convect along axes 1 and 0."""
         # mu edge-padded by one row above and below
         pad = np.concatenate((mu[:1], mu, mu[-1:]))
@@ -229,47 +177,79 @@ class CavitySolver:
         cw = mu[:, :-1] / d_own**2
         cn = corner[1:] / d_other**2
         cs = corner[:-1] / d_other**2
-        east = 0.5 * (wb / (2 * d_own) - ce)
-        west = 0.5 * (-wb / (2 * d_own) - cw)
-        north = 0.5 * (ob / (2 * d_other) - cn)
-        south = 0.5 * (-ob / (2 * d_other) - cs)
-        diag = 0.5 * (ce + cw + cn + cs)
+        coeffs = np.stack([
+            0.5 * (ce + cw + cn + cs),
+            0.5 * (wb / (2 * d_own) - ce),
+            0.5 * (-wb / (2 * d_own) - cw),
+            0.5 * (ob / (2 * d_other) - cn),
+            0.5 * (-ob / (2 * d_other) - cs),
+        ])
+        diag, east, west, north, south = coeffs
         # fold the tangential wall ghost (ghost = sgn * interior) into
         # the diagonal on the two walls the component slides along
         diag[0, :] += self._ghost * south[0, :]
         diag[-1, :] += self._ghost * north[-1, :]
-        return np.concatenate([
-            diag.ravel(), east[:, :-1].ravel(), west[:, 1:].ravel(),
-            north[:-1, :].ravel(), south[1:, :].ravel(),
-        ])
+        return coeffs
 
-    def _solve_component(self, values, pattern, old_interior, forcing, label):
-        """Solve ``(I/dt + L) w = (I/dt - L) old + forcing`` in the permuted
-        order, with the explicit half taken from the same matrix as
-        ``2 old/dt - (I/dt + L) old``; returns the field in natural order."""
-        dt = self.cfg.dt
-        matrix = pattern.refill(values, 1.0 / dt)
-        old = old_interior.ravel()[pattern.perm]
-        rhs = (2.0 / dt) * old - matrix @ old + forcing.ravel()[pattern.perm]
-        try:
-            lu = spla.splu(matrix, **_MOMENTUM_FACTOR)
-        except RuntimeError as exc:
-            raise NumericalError(f"{label} factorization failed: {exc}") from exc
-        sol = lu.solve(rhs)
-        _check_residual(sol, matrix @ sol - rhs, rhs, SOLVE_TOL, label)
-        out = np.empty_like(sol)
-        out[pattern.perm] = sol
-        return out.reshape(old_interior.shape)
+    def _solve_component(self, coeffs, old, forcing, label):
+        """Solve ``A w = (I/dt - L) old + forcing`` for ``A = I/dt + L``.
 
-    def _component(self, w, wbar, obar, p, mu, forcing, d_own, d_other, pattern, label):
+        ``A = S + K`` splits into its symmetric part S, which ``I/dt`` and
+        the viscous stencil make positive definite, and the skew
+        convective remainder K. S is factored by banded Cholesky
+        (``dpbtrf``) and K removed by iterative refinement ``w <- w +
+        S^-1 (rhs - A w)`` (Concus & Golub 1976; Widlund 1978), with A
+        applied as the stencil. The error contracts by
+        ``||S^-1/2 K S^-1/2||_2`` per sweep, so the sweeps converge iff
+        that norm is below 1; it is at most ``dt ||K||``, about half the
+        CFL number of the convecting velocity.
+
+        The sweeps stop at the round-off floor, measured on the Jacobi-
+        scaled residual ``D^-1 (rhs - A w)``, which estimates the error of
+        each row in units of w: once its norm is at most machine epsilon
+        times ``||w||``, or stops halving (the halving test of LAPACK's
+        ``dgerfs``; Arioli, Demmel & Duff 1989). The scaling puts solid
+        rows, with viscosities up to 1e8, on the footing of liquid ones,
+        so the liquid converges even where the solid dominates ``||rhs||``.
+        ``dgerfs``'s componentwise backward error is not used: on rows
+        near rest it falls unevenly and stopped low-viscosity solves early.
+        """
+        shift = 1.0 / self.cfg.dt
+        factor, info = dpbtrf(_symmetric_band(coeffs, shift), lower=1, overwrite_ab=1)
+        if info != 0:
+            raise NumericalError(
+                f"{label} factorization failed: symmetric part not positive definite "
+                f"(dpbtrf info {info})"
+            )
+
+        def solve(r):
+            return dpbtrs(factor, r.ravel(), lower=1)[0].reshape(r.shape)
+
+        rhs = (2.0 * shift) * old - _apply(coeffs, shift, old) + forcing
+        inverse_diagonal = 1.0 / (shift + coeffs[0])
+        sol = solve(rhs)
+        last = np.inf
+        for _ in range(MAX_SWEEPS):
+            residual = rhs - _apply(coeffs, shift, sol)
+            error = np.linalg.norm(inverse_diagonal * residual)
+            if error <= _EPS * np.linalg.norm(sol) or not error <= 0.5 * last:
+                break
+            sol += solve(residual)
+            last = error
+        else:
+            raise NumericalError(f"{label} refinement did not converge in {MAX_SWEEPS} sweeps")
+        _check_residual(sol, residual, rhs, SOLVE_TOL, label)
+        return sol
+
+    def _component(self, w, wbar, obar, p, mu, forcing, d_own, d_other, label):
         """Tentative field of the component ``w`` whose faces are normal to
         array axis 1; ``wbar`` and ``obar`` are the convecting velocities
         of this and the other component. Wall faces keep their values."""
         ob = 0.25 * (obar[:-1, :-1] + obar[:-1, 1:] + obar[1:, :-1] + obar[1:, 1:])
         grad = (p[:, 1:] - p[:, :-1]) / d_own
-        values = self._stencil(wbar[:, 1:-1], ob, mu, d_own, d_other)
+        coeffs = self._stencil(wbar[:, 1:-1], ob, mu, d_own, d_other)
         out = w.copy()
-        out[:, 1:-1] = self._solve_component(values, pattern, w[:, 1:-1], forcing - grad, label)
+        out[:, 1:-1] = self._solve_component(coeffs, w[:, 1:-1], forcing - grad, label)
         return out
 
     def tentative_velocity(self, state: FlowState):
@@ -290,9 +270,9 @@ class CavitySolver:
         t_face = 0.5 * (state.temp[:-1, :] + state.temp[1:, :])
         buoyancy = cfg.buoyancy_coeff * (t_face - cfg.t_ref)
         u_tent = self._component(state.u, ubar, vbar, state.p_star, mu, 0.0,
-                                 self.dx, self.dy, self._u_pattern, "u-momentum")
+                                 self.dx, self.dy, "u-momentum")
         v_tent = self._component(state.v.T, vbar.T, ubar.T, state.p_star.T, mu.T, buoyancy.T,
-                                 self.dy, self.dx, self._v_pattern, "v-momentum")
+                                 self.dy, self.dx, "v-momentum")
         return u_tent, v_tent.T
 
     def velocity_update(self, u_tent, v_tent, phi):

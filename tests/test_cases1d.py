@@ -152,8 +152,13 @@ class TestSigmoid:
         np.testing.assert_array_max_ulp(m.data, reference, maxulp=3)
 
     def test_invalid_steepness_rejected(self):
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match=r"steepness k must be finite and positive"):
             gen_sigmoid(Grid1D(16), 8, k=0.0)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf, -1.0])
+    def test_steepness_rejected_by_name(self, k):
+        with pytest.raises(ArgumentError, match=r"steepness k must be finite and positive"):
+            gen_sigmoid(Grid1D(16), 8, k=k)
 
     def test_smoother_fronts_need_fewer_modes(self):
         grid = Grid1D(256)
