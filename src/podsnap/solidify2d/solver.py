@@ -18,11 +18,14 @@ All three implicit operators are five-point stencils. The pressure and
 temperature operators have constant coefficients on this uniform grid,
 so each is a 1D operator along y plus one along x, solved by fast
 diagonalisation in the eigenbases of the two (Lynch, Rice & Thomas
-1964). The momentum operators move with the viscosity every step. Each
-is applied as a stencil, which gives the explicit half, and solved by a
-banded Cholesky factor of its symmetric part (implicit viscosity plus
-``I/dt``) with iterative refinement removing the small skew convective
-remainder.
+1964). The momentum operators move with the viscosity and the
+convecting velocity every step. Each is applied as a stencil, which
+gives the explicit half, and solved by a banded Cholesky factor of its
+viscous part (implicit viscosity plus ``I/dt``, which depends on the
+viscosity alone) with iterative refinement removing the convective
+remainder. The viscosity moves only where the melt is below freezing,
+a slab against the cooled right wall, so each component's factor is
+kept and refactored from the first x-column whose viscosity moved.
 """
 
 from __future__ import annotations
@@ -60,19 +63,23 @@ def _apply(coeffs, shift, w):
     return out
 
 
-def _symmetric_band(coeffs, shift):
-    """The symmetric part of ``shift I + L`` in LAPACK lower band storage:
-    nodes in natural row-major order, so the bandwidth is the row length
-    ``m`` and row ``d`` of the returned ``(m + 1, n)`` array holds the
-    ``d``-th subdiagonal."""
-    diag, east, west, north, south = coeffs
-    rows, m = diag.shape
-    # node-major, so the transpose is the Fortran-ordered (m + 1, n) array
-    band = np.zeros((rows * m, m + 1))
-    band[:, 0] = (shift + diag).ravel()
-    band.reshape(rows, m, m + 1)[:, :-1, 1] = 0.5 * (east[:, :-1] + west[:, 1:])
-    band[:-m, m] = 0.5 * (north[:-1] + south[1:]).ravel()
-    return band.T
+def _band_diagonals(viscous, shift, order):
+    """The nonzero diagonals of ``shift I + V``, V the viscous part
+    ``viscous`` of :meth:`CavitySolver._stencil`, with the nodes numbered
+    in numpy index ``order`` ('C' row by row, 'F' column by column).
+
+    Returns a ``(3, rows, kd)`` array, ``kd`` the length of a numbered
+    line, that holds at each node the entries of its LAPACK lower band
+    column: the main diagonal, the first subdiagonal and the ``kd``-th.
+    Couplings that would leave the field are zero."""
+    diag, along, across = viscous
+    if order == "F":
+        diag, along, across = diag.T, across.T, along.T
+    out = np.zeros((3,) + diag.shape)
+    out[0] = shift + diag
+    out[1, :, :-1] = along[:, :-1]
+    out[2, :-1] = across[:-1]
+    return out
 
 
 def _check_residual(sol, residual, rhs, tol, label):
@@ -124,14 +131,16 @@ class CavitySolver:
 
     The pressure and temperature operators are :class:`_Separable`, built
     from Neumann :func:`_second_difference` matrices at construction.
-    The momentum operators move with the viscosity field, so each step
-    rebuilds them as five-point coefficient arrays (:meth:`_stencil`)
-    and solves them by :meth:`_solve_component`: a banded Cholesky factor
-    of the symmetric part, then iterative refinement against the full
-    operator. A factor that is not positive definite and a refinement
-    that has not converged in ``MAX_SWEEPS`` sweeps raise
-    :class:`NumericalError`, as does every solve that fails the residual
-    check of :func:`_check_residual`.
+    The momentum operators move with the viscosity and the convecting
+    velocity, so each step rebuilds them as five-point coefficient
+    arrays (:meth:`_stencil`) and solves them by :meth:`_solve_component`:
+    a banded Cholesky factor of the viscous part, then iterative
+    refinement against the full operator. Each component's factor is
+    kept between steps and refactored from the first x-column whose
+    viscosity moved (:meth:`_viscous_factor`). A factor that is not
+    positive definite and a refinement that has not converged in
+    ``MAX_SWEEPS`` sweeps raise :class:`NumericalError`, as does every
+    solve that fails the residual check of :func:`_check_residual`.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -148,6 +157,8 @@ class CavitySolver:
         ax = k * ax
         ax[-1, -1] += wall.h / g.dx
         self._temperature = _Separable(k * ay, ax, 1.0 / cfg.dt, "temperature")
+        # momentum label -> (band diagonals, factor); filled by the first solve
+        self._factors = {}
 
     # ------------------------------------------------------------------
     # pressure correction
@@ -165,11 +176,13 @@ class CavitySolver:
     # ------------------------------------------------------------------
     # momentum
     # ------------------------------------------------------------------
-    def _stencil(self, wb, ob, mu, d_own, d_other) -> np.ndarray:
+    def _stencil(self, wb, ob, mu, d_own, d_other):
         """Coefficients of L = (conv - diff) / 2 on the interior faces normal
-        to axis 1, stacked as diagonal, east, west, north and south fields;
-        a coupling that would leave the field is never read. ``wb``/``d_own``
-        and ``ob``/``d_other`` convect along axes 1 and 0."""
+        to axis 1, stacked as diagonal, east, west, north and south fields,
+        and of its viscous part V = -diff / 2, whose symmetry leaves only
+        the diagonal, east and north fields; a coupling that would leave
+        the field is never read. ``wb``/``d_own`` and ``ob``/``d_other``
+        convect along axes 1 and 0. Returns ``(coeffs, viscous)``."""
         # mu edge-padded by one row above and below
         pad = np.concatenate((mu[:1], mu, mu[-1:]))
         corner = 0.25 * (pad[:-1, :-1] + pad[:-1, 1:] + pad[1:, :-1] + pad[1:, 1:])
@@ -189,19 +202,72 @@ class CavitySolver:
         # the diagonal on the two walls the component slides along
         diag[0, :] += self._ghost * south[0, :]
         diag[-1, :] += self._ghost * north[-1, :]
-        return coeffs
+        viscous = 0.5 * np.stack([ce + cw + cn + cs, -ce, -cn])
+        viscous[0, 0, :] -= 0.5 * self._ghost * cs[0, :]
+        viscous[0, -1, :] -= 0.5 * self._ghost * cn[-1, :]
+        return coeffs, viscous
 
-    def _solve_component(self, coeffs, old, forcing, label):
+    def _viscous_factor(self, diagonals, label):
+        """The lower band Cholesky factor of the matrix whose nonzero
+        diagonals are ``diagonals`` (:func:`_band_diagonals`).
+
+        The factor of each ``label`` is kept with its diagonals. A
+        Cholesky factor's leading columns depend only on the matrix's
+        leading columns, so the columns before the first one, ``j0``,
+        whose diagonals changed are kept. Their coupling to the rest, the
+        upper-triangular block ``B = L[j0:j0+kd, j0-kd:j0]``, is removed
+        by subtracting ``B B^T`` from the leading corner of the new
+        trailing band, which ``dpbtrf`` then factors alone. Unchanged
+        diagonals reuse the factor; a first change before column ``kd``,
+        a new shape or no kept factor refactor from ``j0 = 0``.
+        """
+        _, rows, kd = diagonals.shape
+        n = rows * kd
+        kept, factor = self._factors.pop(label, (None, None))
+        if factor is None or factor.shape != (kd + 1, n):
+            j0, factor = 0, np.empty((kd + 1, n), order="F")
+        else:
+            changed = np.flatnonzero(np.any(diagonals != kept, axis=0))
+            j0 = changed[0] if changed.size else n
+            j0 = j0 if j0 >= kd else 0
+        if j0 < n:
+            # the trailing columns, in place; Fortran order keeps them contiguous
+            band = factor[:, j0:]
+            band[:] = 0.0
+            band[0], band[1], band[kd] = diagonals.reshape(3, n)[:, j0:]
+            if j0:
+                # B's rows stop at the last column
+                k = min(kd, n - j0)
+                r, c = np.triu_indices(kd)
+                r, c = r[r < k], c[r < k]
+                block = np.zeros((k, kd))
+                block[r, c] = factor[kd + r - c, j0 - kd + c]
+                update = block @ block.T
+                r, c = np.tril_indices(k)
+                band[r - c, c] -= update[r, c]
+            trailing, info = dpbtrf(band, lower=1, overwrite_ab=1)
+            if info != 0:
+                raise NumericalError(
+                    f"{label} factorization failed: viscous part not positive definite "
+                    f"(dpbtrf info {info} from column {j0})"
+                )
+            # a no-op when dpbtrf factored in place, as it does for this band
+            band[...] = trailing
+        self._factors[label] = (diagonals, factor)
+        return factor
+
+    def _solve_component(self, coeffs, viscous, old, forcing, label, order="C"):
         """Solve ``A w = (I/dt - L) old + forcing`` for ``A = I/dt + L``.
 
-        ``A = S + K`` splits into its symmetric part S, which ``I/dt`` and
-        the viscous stencil make positive definite, and the skew
-        convective remainder K. S is factored by banded Cholesky
-        (``dpbtrf``) and K removed by iterative refinement ``w <- w +
-        S^-1 (rhs - A w)`` (Concus & Golub 1976; Widlund 1978), with A
-        applied as the stencil. The error contracts by
-        ``||S^-1/2 K S^-1/2||_2`` per sweep, so the sweeps converge iff
-        that norm is below 1; it is at most ``dt ||K||``, about half the
+        ``A = S + C`` splits into ``S = I/dt + V``, the viscous part of
+        :meth:`_stencil`, which is symmetric positive definite and depends
+        on the viscosity alone, and the convective remainder C. S is
+        factored by banded Cholesky (:meth:`_viscous_factor`), with the
+        nodes numbered in numpy index ``order``, and C removed by iterative
+        refinement ``w <- w + S^-1 (rhs - A w)`` (Concus & Golub 1976;
+        Widlund 1978), with A applied as the stencil. The error contracts
+        by ``||S^-1/2 C S^-1/2||_2`` per sweep, so the sweeps converge iff
+        that norm is below 1; it is at most ``dt ||C||``, about half the
         CFL number of the convecting velocity.
 
         The sweeps stop at the round-off floor, measured on the Jacobi-
@@ -215,15 +281,12 @@ class CavitySolver:
         near rest it falls unevenly and stopped low-viscosity solves early.
         """
         shift = 1.0 / self.cfg.dt
-        factor, info = dpbtrf(_symmetric_band(coeffs, shift), lower=1, overwrite_ab=1)
-        if info != 0:
-            raise NumericalError(
-                f"{label} factorization failed: symmetric part not positive definite "
-                f"(dpbtrf info {info})"
-            )
+        factor = self._viscous_factor(_band_diagonals(viscous, shift, order), label)
 
         def solve(r):
-            return dpbtrs(factor, r.ravel(), lower=1)[0].reshape(r.shape)
+            x = dpbtrs(factor, r.ravel(order), lower=1)[0].reshape(r.shape, order=order)
+            # back in r's row-major layout, which the stencil applies read fastest
+            return np.ascontiguousarray(x)
 
         rhs = (2.0 * shift) * old - _apply(coeffs, shift, old) + forcing
         inverse_diagonal = 1.0 / (shift + coeffs[0])
@@ -241,15 +304,18 @@ class CavitySolver:
         _check_residual(sol, residual, rhs, SOLVE_TOL, label)
         return sol
 
-    def _component(self, w, wbar, obar, p, mu, forcing, d_own, d_other, label):
+    def _component(self, w, wbar, obar, p, mu, forcing, d_own, d_other, label, order="C"):
         """Tentative field of the component ``w`` whose faces are normal to
         array axis 1; ``wbar`` and ``obar`` are the convecting velocities
-        of this and the other component. Wall faces keep their values."""
+        of this and the other component, and ``order`` numbers the nodes
+        of its factor. Wall faces keep their values."""
         ob = 0.25 * (obar[:-1, :-1] + obar[:-1, 1:] + obar[1:, :-1] + obar[1:, 1:])
         grad = (p[:, 1:] - p[:, :-1]) / d_own
-        coeffs = self._stencil(wbar[:, 1:-1], ob, mu, d_own, d_other)
+        coeffs, viscous = self._stencil(wbar[:, 1:-1], ob, mu, d_own, d_other)
         out = w.copy()
-        out[:, 1:-1] = self._solve_component(coeffs, w[:, 1:-1], forcing - grad, label)
+        out[:, 1:-1] = self._solve_component(
+            coeffs, viscous, w[:, 1:-1], forcing - grad, label, order
+        )
         return out
 
     def tentative_velocity(self, state: FlowState):
@@ -258,7 +324,10 @@ class CavitySolver:
         Wall-normal faces stay at zero (impermeable box); the pressure
         gradient of the current guess and buoyancy enter the right-hand
         side. The predictor is written once, for u; v is solved as the u
-        problem on transposed fields, with dx and dy swapped.
+        problem on transposed fields, with dx and dy swapped. Both factors
+        number the faces x-major, u column by column and v in the natural
+        order of its transposed field, so a viscosity change near the
+        cooled right wall leaves the leading columns of both in place.
         """
         cfg = self.cfg
         mu = viscosity_of(cfg.viscosity, state.temp)
@@ -270,9 +339,9 @@ class CavitySolver:
         t_face = 0.5 * (state.temp[:-1, :] + state.temp[1:, :])
         buoyancy = cfg.buoyancy_coeff * (t_face - cfg.t_ref)
         u_tent = self._component(state.u, ubar, vbar, state.p_star, mu, 0.0,
-                                 self.dx, self.dy, "u-momentum")
+                                 self.dx, self.dy, "u-momentum", "F")
         v_tent = self._component(state.v.T, vbar.T, ubar.T, state.p_star.T, mu.T, buoyancy.T,
-                                 self.dy, self.dx, "v-momentum")
+                                 self.dy, self.dx, "v-momentum", "C")
         return u_tent, v_tent.T
 
     def velocity_update(self, u_tent, v_tent, phi):

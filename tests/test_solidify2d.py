@@ -103,19 +103,23 @@ class TestTentativeVelocity:
         assert np.all(v_tent[0, :] == 0.0) and np.all(v_tent[-1, :] == 0.0)
 
 
+# the node order of each component's factor: x-major for both
+ORDER = {"u": "F", "v": "C"}
+
+
 def random_values(solver, component, rng):
     """Momentum-operator coefficients of ``component`` from random
-    velocities and temperatures; returns them with the interior field
-    shape they act on. v is the u problem on transposed fields, so its
-    shape is transposed."""
+    velocities and temperatures, as the ``(coeffs, viscous)`` pair of
+    ``_stencil``; returns them with the interior field shape they act on.
+    v is the u problem on transposed fields, so its shape is transposed."""
     g = solver.cfg.grid
     mu = viscosity_of(solver.cfg.viscosity, rng.uniform(600.0, 700.0, g.cell_shape))
     if component == "u":
         shape, spacings = (g.ny, g.nx - 1), (g.dx, g.dy)
     else:
         shape, spacings, mu = (g.nx, g.ny - 1), (g.dy, g.dx), mu.T
-    coeffs = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), mu, *spacings)
-    return coeffs, shape
+    system = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), mu, *spacings)
+    return system, shape
 
 
 def five_point(ny, nx):
@@ -153,13 +157,15 @@ def reference_matrix(coeffs, shape, dt):
     return reference_operator(coeffs, shape) + sp.identity(n, format="csc") / dt
 
 
-def band_to_dense(band):
-    """The symmetric matrix whose lower band storage is ``band``."""
-    n = band.shape[1]
+def diagonals_to_dense(diagonals):
+    """The symmetric matrix whose nonzero lower band diagonals, main, first
+    and kd-th, are the ``(3, rows, kd)`` array ``diagonals``."""
+    _, rows, kd = diagonals.shape
+    n = rows * kd
     dense = np.zeros((n, n))
-    for d in range(band.shape[0]):
+    for d, values in zip((0, 1, kd), diagonals.reshape(3, n), strict=True):
         j = np.arange(n - d)
-        dense[j + d, j] = dense[j, j + d] = band[d, : n - d]
+        dense[j + d, j] = dense[j, j + d] = values[: n - d]
     return dense
 
 
@@ -170,6 +176,16 @@ def unknowns(g, component):
     if component == "u":
         return np.arange(g.ny * (g.nx - 1)).reshape(g.ny, g.nx - 1)
     return np.arange(g.nx * (g.ny - 1)).reshape(g.nx, g.ny - 1).T
+
+
+def x_major(dense, g, component):
+    """``dense``, numbered as :func:`unknowns`, renumbered x-major: the
+    faces of both components column by column."""
+    natural = unknowns(g, component)
+    columns = np.arange(natural.size).reshape(natural.shape[::-1]).T
+    out = np.empty_like(dense)
+    out[np.ix_(columns.ravel(), columns.ravel())] = dense[np.ix_(natural.ravel(), natural.ravel())]
+    return out
 
 
 def dense_momentum(cfg, ubar, vbar, mu, component):
@@ -225,6 +241,33 @@ def dense_momentum(cfg, ubar, vbar, mu, component):
     return dense
 
 
+def random_state(cfg, rng):
+    """A state with random velocities and pressure and temperatures within
+    30 degrees of freezing, so the viscosity varies from cell to cell."""
+    g, t_freeze = cfg.grid, cfg.viscosity.t_freeze
+    return dataclasses.replace(
+        initial_state(cfg),
+        u=rng.normal(size=g.u_shape),
+        v=rng.normal(size=g.v_shape),
+        p_star=rng.normal(size=g.cell_shape),
+        temp=rng.uniform(t_freeze - 30.0, t_freeze + 30.0, g.cell_shape),
+    )
+
+
+def count_factored(monkeypatch):
+    """The list to which every ``dpbtrf`` call of the solver module appends
+    the number of band columns it factors."""
+    columns = []
+    factor = solver_module.dpbtrf
+
+    def record(band, **kw):
+        columns.append(band.shape[1])
+        return factor(band, **kw)
+
+    monkeypatch.setattr(solver_module, "dpbtrf", record)
+    return columns
+
+
 class TestMomentumSystems:
     @pytest.mark.parametrize("tangential", ["no_slip", "free_slip"])
     @pytest.mark.parametrize("kind", ["mushy", "sharp_jump"])
@@ -236,21 +279,13 @@ class TestMomentumSystems:
             grid=g, wall_tangential=tangential, viscosity=ViscosityModel(kind=kind)
         )
         solver = CavitySolver(cfg)
-        rng = np.random.default_rng(23)
-        t_freeze = cfg.viscosity.t_freeze
-        state = dataclasses.replace(
-            initial_state(cfg),
-            u=rng.normal(size=g.u_shape),
-            v=rng.normal(size=g.v_shape),
-            p_star=rng.normal(size=g.cell_shape),
-            temp=rng.uniform(t_freeze - 30.0, t_freeze + 30.0, g.cell_shape),
-        )
+        state = random_state(cfg, np.random.default_rng(23))
         calls = []
         solve = CavitySolver._solve_component
 
-        def record(self, coeffs, old, forcing, label):
-            calls.append((coeffs, label))
-            return solve(self, coeffs, old, forcing, label)
+        def record(self, coeffs, viscous, old, forcing, label, order):
+            calls.append((coeffs, viscous, label, order))
+            return solve(self, coeffs, viscous, old, forcing, label, order)
 
         monkeypatch.setattr(CavitySolver, "_solve_component", record)
         # the first step convects with the current velocities
@@ -258,8 +293,8 @@ class TestMomentumSystems:
         monkeypatch.undo()
         mu = viscosity_of(cfg.viscosity, state.temp)
         assert np.ptp(mu) > 0.0
-        for component, (coeffs, label) in zip("uv", calls, strict=True):
-            assert label == f"{component}-momentum"
+        for component, (coeffs, viscous, label, order) in zip("uv", calls, strict=True):
+            assert (label, order) == (f"{component}-momentum", ORDER[component])
             dense = dense_momentum(cfg, state.u, state.v, mu, component)
             scale = np.max(np.abs(dense))
             # the stencil apply, column by column from unit fields
@@ -269,9 +304,14 @@ class TestMomentumSystems:
                 solver_module._apply(coeffs, 1.0 / cfg.dt, e).ravel() for e in units
             ], axis=1)
             np.testing.assert_allclose(applied, dense, rtol=1e-12, atol=1e-12 * scale)
-            band = solver_module._symmetric_band(coeffs, 1.0 / cfg.dt)
+            # the factored matrix: I/dt plus the viscous operator alone,
+            # with the faces numbered x-major
+            zero_u, zero_v = np.zeros(g.u_shape), np.zeros(g.v_shape)
+            viscous_dense = x_major(dense_momentum(cfg, zero_u, zero_v, mu, component), g, component)
+            diagonals = solver_module._band_diagonals(viscous, 1.0 / cfg.dt, order)
             np.testing.assert_allclose(
-                band_to_dense(band), 0.5 * (dense + dense.T), rtol=1e-12, atol=1e-12 * scale
+                diagonals_to_dense(diagonals), viscous_dense,
+                rtol=1e-12, atol=1e-12 * np.max(np.abs(viscous_dense)),
             )
 
     @pytest.mark.parametrize("tangential", ["no_slip", "free_slip"])
@@ -280,16 +320,18 @@ class TestMomentumSystems:
         cfg = small_config(grid=StaggeredGrid2D(7, 5), wall_tangential=tangential)
         solver = CavitySolver(cfg)
         rng = np.random.default_rng(17)
-        coeffs, shape = random_values(solver, component, rng)
+        system, shape = random_values(solver, component, rng)
+        coeffs = system[0]
         old, forcing = rng.normal(size=shape), rng.normal(size=shape)
-        sol = solver._solve_component(coeffs, old, forcing, component)
-        old, forcing = old.ravel(), forcing.ravel()
-        rhs = old / cfg.dt - reference_operator(coeffs, shape) @ old + forcing
+        rhs = old.ravel() / cfg.dt - reference_operator(coeffs, shape) @ old.ravel() + forcing.ravel()
         expected = spla.spsolve(reference_matrix(coeffs, shape, cfg.dt), rhs)
-        assert sol.shape == shape
-        np.testing.assert_allclose(
-            sol.ravel(), expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected))
-        )
+        # either node order of the factor gives the field back in its layout
+        for order in "CF":
+            sol = solver._solve_component(*system, old, forcing, f"{component}-{order}", order)
+            assert sol.shape == shape
+            np.testing.assert_allclose(
+                sol.ravel(), expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected))
+            )
 
     @pytest.mark.parametrize("component", ["u", "v"])
     def test_refinement_reaches_componentwise_round_off(self, component):
@@ -307,9 +349,11 @@ class TestMomentumSystems:
         else:
             shape, spacings, mu = (g.nx, g.ny - 1), (g.dy, g.dx), mu.T
         rng = np.random.default_rng(37)
-        coeffs = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), mu, *spacings)
+        coeffs, viscous = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), mu,
+                                          *spacings)
         old, forcing = rng.normal(size=shape), rng.normal(size=shape)
-        sol = solver._solve_component(coeffs, old, forcing, component).ravel()
+        sol = solver._solve_component(coeffs, viscous, old, forcing, component,
+                                      ORDER[component]).ravel()
         matrix = reference_matrix(coeffs, shape, cfg.dt)
         old, forcing = old.ravel(), forcing.ravel()
         rhs = (2.0 / cfg.dt) * old - matrix @ old + forcing
@@ -320,7 +364,6 @@ class TestMomentumSystems:
         cfg = small_config(initial_temp=700.0, t_ref=650.0)
         solver = CavitySolver(cfg)
         state = initial_state(cfg)
-        solver.tentative_velocity(state)
         # refinement removes any factor error it can contract; halving the
         # Cholesky factor factors S/4, and each sweep then triples the error
         factor = solver_module.dpbtrf
@@ -336,21 +379,20 @@ class TestMomentumSystems:
     def test_indefinite_symmetric_part_raises(self):
         cfg = small_config()
         solver = CavitySolver(cfg)
-        coeffs, shape = random_values(solver, "u", np.random.default_rng(5))
-        coeffs[0, 3, 4] = -2.0 / cfg.dt
+        (coeffs, viscous), shape = random_values(solver, "u", np.random.default_rng(5))
+        viscous[0, 3, 4] = -2.0 / cfg.dt
         with pytest.raises(NumericalError, match="u factorization failed"):
-            solver._solve_component(coeffs, np.zeros(shape), np.ones(shape), "u")
+            solver._solve_component(coeffs, viscous, np.zeros(shape), np.ones(shape), "u")
 
     def test_refinement_that_cannot_converge_raises_within_the_cap(self, monkeypatch):
-        # a uniform stream (no cross flow, so the symmetric part is the
-        # viscous one) at 40 times the advective CFL limit: the sweeps
-        # diverge, since ||S^-1/2 K S^-1/2|| is about half that number
+        # a uniform stream at 40 times the advective CFL limit: the sweeps
+        # diverge, since ||S^-1/2 C S^-1/2|| is about half that number
         cfg = small_config(viscosity=ViscosityModel(kind="mushy", mu_liquid=1e-6))
         g = cfg.grid
         solver = CavitySolver(cfg)
         shape = (g.ny, g.nx - 1)
         speed = 40.0 * g.dx / cfg.dt
-        coeffs = solver._stencil(np.full(shape, speed), np.zeros(shape),
+        system = solver._stencil(np.full(shape, speed), np.zeros(shape),
                                  np.full(g.cell_shape, 1e-6), g.dx, g.dy)
         rng = np.random.default_rng(9)
         old, forcing = rng.normal(size=shape), rng.normal(size=shape)
@@ -359,13 +401,13 @@ class TestMomentumSystems:
         monkeypatch.setattr(solver_module, "dpbtrs",
                             lambda *a, **kw: solves.append(1) or solve(*a, **kw))
         with pytest.raises(NumericalError, match="u solve did not reach tolerance"):
-            solver._solve_component(coeffs, old, forcing, "u")
+            solver._solve_component(*system, old, forcing, "u")
         assert 1 < len(solves) <= solver_module.MAX_SWEEPS + 1
         # a refinement still contracting when the cap is reached raises too
         monkeypatch.setattr(solver_module, "MAX_SWEEPS", 1)
         converging, shape = random_values(solver, "u", rng)
         with pytest.raises(NumericalError, match="u refinement did not converge in 1 sweeps"):
-            solver._solve_component(converging, old, forcing, "u")
+            solver._solve_component(*converging, old, forcing, "u")
 
     def test_low_viscosity_run_stops_on_cfl_not_in_refinement(self):
         # near rest at viscosity 1e-5 the sweeps contract by up to about half
@@ -384,7 +426,7 @@ class TestMomentumSystems:
         assert frozen[-1] > frozen[0] > 0
         labels = []
 
-        def direct(self, coeffs, old, forcing, label):
+        def direct(self, coeffs, viscous, old, forcing, label, order):
             # SuperLU with its default COLAMD ordering on the full
             # nonsymmetric matrix, no refinement
             labels.append(label)
@@ -402,6 +444,122 @@ class TestMomentumSystems:
             assert np.all(rel <= 1e-10), (name, rel.max())
             moved |= not np.array_equal(a, b)
         assert moved
+
+
+class TestKeptFactor:
+    """Each component keeps its factor of I/dt plus viscosity and refactors
+    it from the first column whose band diagonals moved."""
+
+    # nx != ny, so u's kd = ny and v's kd = ny - 1 differ
+    grid = StaggeredGrid2D(12, 10)
+
+    def factored(self, monkeypatch):
+        """A solver that has factored both components for a random state,
+        the state, its rng and the list that counts factored columns."""
+        cfg = small_config(grid=self.grid)
+        solver = CavitySolver(cfg)
+        rng = np.random.default_rng(41)
+        state = random_state(cfg, rng)
+        columns = count_factored(monkeypatch)
+        solver.tentative_velocity(state)
+        g = self.grid
+        assert columns == [g.ny * (g.nx - 1), (g.ny - 1) * g.nx]
+        columns.clear()
+        return solver, state, rng, columns
+
+    def test_unchanged_viscosity_makes_no_factor(self, monkeypatch):
+        solver, state, rng, columns = self.factored(monkeypatch)
+        # the convection moves, the temperature does not
+        moved = dataclasses.replace(state, u=rng.normal(size=self.grid.u_shape),
+                                    v=rng.normal(size=self.grid.v_shape))
+        kept = solver.tentative_velocity(moved)
+        assert columns == []
+        fresh = CavitySolver(solver.cfg).tentative_velocity(moved)
+        for a, b in zip(kept, fresh, strict=True):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+
+    def test_trailing_change_factors_only_trailing_columns(self, monkeypatch):
+        solver, state, rng, columns = self.factored(monkeypatch)
+        g, c0 = self.grid, 7
+        # new, solid temperatures in the cells from x-column c0 on
+        temp = state.temp.copy()
+        temp[:, c0:] = rng.uniform(600.0, 650.0, (g.ny, g.nx - c0))
+        moved = dataclasses.replace(state, temp=temp)
+        solver.tentative_velocity(moved)
+        # the faces of x-column c0 - 1 are the first that touch a moved cell:
+        # u's between cells c0 - 1 and c0, v's through their corners
+        n_u, n_v = g.ny * (g.nx - 1), (g.ny - 1) * g.nx
+        assert columns == [n_u - (c0 - 1) * g.ny, n_v - (c0 - 1) * (g.ny - 1)]
+        fresh = CavitySolver(solver.cfg)
+        fresh.tentative_velocity(moved)
+        for label in ("u-momentum", "v-momentum"):
+            kept, factor = solver._factors[label][1], fresh._factors[label][1]
+            assert np.max(np.abs(kept - factor)) <= 1e-15 * np.max(np.abs(factor)), label
+
+    def test_change_within_the_last_column_factors_its_tail(self, monkeypatch):
+        # the block B then has fewer than kd rows
+        solver, _, rng, columns = self.factored(monkeypatch)
+        (_, viscous), shape = random_values(solver, "u", rng)
+        shift = 1.0 / solver.cfg.dt
+        solver._viscous_factor(solver_module._band_diagonals(viscous, shift, "F"), "u")
+        viscous[0, 3:, -1] *= 2.0
+        moved = solver_module._band_diagonals(viscous, shift, "F")
+        kept = solver._viscous_factor(moved, "u")
+        factor = CavitySolver(solver.cfg)._viscous_factor(moved, "u")
+        rows, n = shape[0], shape[0] * shape[1]
+        assert columns == [n, rows - 3, n]
+        assert np.max(np.abs(kept - factor)) <= 1e-15 * np.max(np.abs(factor))
+
+    def test_first_column_change_or_new_shape_refactors_everything(self, monkeypatch):
+        solver, state, rng, columns = self.factored(monkeypatch)
+        g = self.grid
+        temp = state.temp.copy()
+        temp[:, 0] = rng.uniform(600.0, 650.0, g.ny)
+        solver.tentative_velocity(dataclasses.replace(state, temp=temp))
+        assert columns == [g.ny * (g.nx - 1), (g.ny - 1) * g.nx]
+        columns.clear()
+        other = CavitySolver(small_config(grid=StaggeredGrid2D(8, 6)))
+        system, shape = random_values(other, "u", rng)
+        solver._solve_component(*system, np.zeros(shape), np.ones(shape), "u-momentum", "F")
+        assert columns == [shape[0] * shape[1]]
+
+    def test_indefinite_trailing_update_raises(self, monkeypatch):
+        solver, _, rng, columns = self.factored(monkeypatch)
+        (coeffs, viscous), shape = random_values(solver, "u", rng)
+        old, forcing = np.zeros(shape), np.ones(shape)
+        solver._solve_component(coeffs, viscous, old, forcing, "u", "F")
+        # a negative diagonal in the last x-column of faces, below its
+        # first rows: only the rows from there on are factored
+        indefinite = viscous.copy()
+        indefinite[0, 3, -1] = -2.0 / solver.cfg.dt
+        rows, n = shape[0], shape[0] * shape[1]
+        with pytest.raises(NumericalError, match="u factorization failed"):
+            solver._solve_component(coeffs, indefinite, old, forcing, "u", "F")
+        # a failed factor is not kept: the next solve factors every column
+        solver._solve_component(coeffs, viscous, old, forcing, "u", "F")
+        assert columns == [n, rows - 3, n]
+
+    @pytest.mark.parametrize("make", [default_mushy_config, default_pure_metal_config])
+    def test_run_matches_refactoring_every_step(self, monkeypatch, make):
+        cfg = make(grid=StaggeredGrid2D(16, 16), n_steps=40, snap_every=2)
+        columns = count_factored(monkeypatch)
+        kept = run_case(cfg)
+        reused = sum(columns)
+        columns.clear()
+        factor = CavitySolver._viscous_factor
+
+        def from_scratch(self, diagonals, label):
+            self._factors.clear()
+            return factor(self, diagonals, label)
+
+        monkeypatch.setattr(CavitySolver, "_viscous_factor", from_scratch)
+        fresh = run_case(cfg)
+        g = cfg.grid
+        assert reused < sum(columns) == cfg.n_steps * (g.ny * (g.nx - 1) + (g.ny - 1) * g.nx)
+        for name in kept.layout.names:
+            a, b = kept.field(name), fresh.field(name)
+            rel = np.linalg.norm(a - b, axis=0) / np.linalg.norm(b, axis=0)
+            assert np.all(rel <= 1e-12), (name, rel.max())
 
 
 def manufactured_viscosity(a, b, component):
