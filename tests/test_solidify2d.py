@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf
 from scipy.optimize import brentq
 
 from conftest import advance_taylor_green, taylor_green
@@ -110,16 +111,26 @@ ORDER = {"u": "F", "v": "C"}
 def random_values(solver, component, rng):
     """Momentum-operator coefficients of ``component`` from random
     velocities and temperatures, as the ``(coeffs, viscous)`` pair of
-    ``_stencil``; returns them with the interior field shape they act on.
-    v is the u problem on transposed fields, so its shape is transposed."""
+    ``_stencil`` and ``_viscous``; returns them with the interior field
+    shape they act on. v is the u problem on transposed fields, so its
+    shape is transposed."""
     g = solver.cfg.grid
     mu = viscosity_of(solver.cfg.viscosity, rng.uniform(600.0, 700.0, g.cell_shape))
     if component == "u":
         shape, spacings = (g.ny, g.nx - 1), (g.dx, g.dy)
     else:
         shape, spacings, mu = (g.nx, g.ny - 1), (g.dy, g.dx), mu.T
-    system = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), mu, *spacings)
-    return system, shape
+    viscous = solver._viscous(mu, *spacings)
+    coeffs = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), viscous, *spacings)
+    return (coeffs, viscous), shape
+
+
+def solve_system(solver, system, old, forcing, label, order="C"):
+    """``_solve_component`` of the ``(coeffs, viscous)`` pair ``system``,
+    its viscous part factored first and kept under ``label``."""
+    coeffs, viscous = system
+    factor = solver._viscous_factor(None, viscous, label, order)
+    return solver._solve_component(coeffs, factor, old, forcing, label, order)
 
 
 def five_point(ny, nx):
@@ -283,9 +294,9 @@ class TestMomentumSystems:
         calls = []
         solve = CavitySolver._solve_component
 
-        def record(self, coeffs, viscous, old, forcing, label, order):
-            calls.append((coeffs, viscous, label, order))
-            return solve(self, coeffs, viscous, old, forcing, label, order)
+        def record(self, coeffs, factor, old, forcing, label, order):
+            calls.append((coeffs, factor, label, order))
+            return solve(self, coeffs, factor, old, forcing, label, order)
 
         monkeypatch.setattr(CavitySolver, "_solve_component", record)
         # the first step convects with the current velocities
@@ -293,7 +304,7 @@ class TestMomentumSystems:
         monkeypatch.undo()
         mu = viscosity_of(cfg.viscosity, state.temp)
         assert np.ptp(mu) > 0.0
-        for component, (coeffs, viscous, label, order) in zip("uv", calls, strict=True):
+        for component, (coeffs, factor, label, order) in zip("uv", calls, strict=True):
             assert (label, order) == (f"{component}-momentum", ORDER[component])
             dense = dense_momentum(cfg, state.u, state.v, mu, component)
             scale = np.max(np.abs(dense))
@@ -308,9 +319,8 @@ class TestMomentumSystems:
             # with the faces numbered x-major
             zero_u, zero_v = np.zeros(g.u_shape), np.zeros(g.v_shape)
             viscous_dense = x_major(dense_momentum(cfg, zero_u, zero_v, mu, component), g, component)
-            diagonals = solver_module._band_diagonals(viscous, 1.0 / cfg.dt, order)
             np.testing.assert_allclose(
-                diagonals_to_dense(diagonals), viscous_dense,
+                diagonals_to_dense(factor.diagonals), viscous_dense,
                 rtol=1e-12, atol=1e-12 * np.max(np.abs(viscous_dense)),
             )
 
@@ -327,7 +337,7 @@ class TestMomentumSystems:
         expected = spla.spsolve(reference_matrix(coeffs, shape, cfg.dt), rhs)
         # either node order of the factor gives the field back in its layout
         for order in "CF":
-            sol = solver._solve_component(*system, old, forcing, f"{component}-{order}", order)
+            sol = solve_system(solver, system, old, forcing, f"{component}-{order}", order)
             assert sol.shape == shape
             np.testing.assert_allclose(
                 sol.ravel(), expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected))
@@ -349,11 +359,12 @@ class TestMomentumSystems:
         else:
             shape, spacings, mu = (g.nx, g.ny - 1), (g.dy, g.dx), mu.T
         rng = np.random.default_rng(37)
-        coeffs, viscous = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), mu,
-                                          *spacings)
+        viscous = solver._viscous(mu, *spacings)
+        coeffs = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), viscous,
+                                 *spacings)
         old, forcing = rng.normal(size=shape), rng.normal(size=shape)
-        sol = solver._solve_component(coeffs, viscous, old, forcing, component,
-                                      ORDER[component]).ravel()
+        sol = solve_system(solver, (coeffs, viscous), old, forcing, component,
+                           ORDER[component]).ravel()
         matrix = reference_matrix(coeffs, shape, cfg.dt)
         old, forcing = old.ravel(), forcing.ravel()
         rhs = (2.0 / cfg.dt) * old - matrix @ old + forcing
@@ -382,7 +393,7 @@ class TestMomentumSystems:
         (coeffs, viscous), shape = random_values(solver, "u", np.random.default_rng(5))
         viscous[0, 3, 4] = -2.0 / cfg.dt
         with pytest.raises(NumericalError, match="u factorization failed"):
-            solver._solve_component(coeffs, viscous, np.zeros(shape), np.ones(shape), "u")
+            solve_system(solver, (coeffs, viscous), np.zeros(shape), np.ones(shape), "u")
 
     def test_refinement_that_cannot_converge_raises_within_the_cap(self, monkeypatch):
         # a uniform stream at 40 times the advective CFL limit: the sweeps
@@ -392,22 +403,24 @@ class TestMomentumSystems:
         solver = CavitySolver(cfg)
         shape = (g.ny, g.nx - 1)
         speed = 40.0 * g.dx / cfg.dt
-        system = solver._stencil(np.full(shape, speed), np.zeros(shape),
-                                 np.full(g.cell_shape, 1e-6), g.dx, g.dy)
+        viscous = solver._viscous(np.full(g.cell_shape, 1e-6), g.dx, g.dy)
+        system = solver._stencil(np.full(shape, speed), np.zeros(shape), viscous, g.dx, g.dy), viscous
         rng = np.random.default_rng(9)
         old, forcing = rng.normal(size=shape), rng.normal(size=shape)
-        solves = []
-        solve = solver_module.dpbtrs
-        monkeypatch.setattr(solver_module, "dpbtrs",
-                            lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+        # each solve with the factor sweeps two triangles
+        sweeps = []
+        sweep = solver_module.dtbsv
+        monkeypatch.setattr(solver_module, "dtbsv",
+                            lambda *a, **kw: sweeps.append(1) or sweep(*a, **kw))
         with pytest.raises(NumericalError, match="u solve did not reach tolerance"):
-            solver._solve_component(*system, old, forcing, "u")
-        assert 1 < len(solves) <= solver_module.MAX_SWEEPS + 1
+            solve_system(solver, system, old, forcing, "u")
+        solves = len(sweeps) / 2
+        assert 1 < solves <= solver_module.MAX_SWEEPS + 1
         # a refinement still contracting when the cap is reached raises too
         monkeypatch.setattr(solver_module, "MAX_SWEEPS", 1)
         converging, shape = random_values(solver, "u", rng)
         with pytest.raises(NumericalError, match="u refinement did not converge in 1 sweeps"):
-            solver._solve_component(*converging, old, forcing, "u")
+            solve_system(solver, converging, old, forcing, "u")
 
     def test_low_viscosity_run_stops_on_cfl_not_in_refinement(self):
         # near rest at viscosity 1e-5 the sweeps contract by up to about half
@@ -426,7 +439,7 @@ class TestMomentumSystems:
         assert frozen[-1] > frozen[0] > 0
         labels = []
 
-        def direct(self, coeffs, viscous, old, forcing, label, order):
+        def direct(self, coeffs, factor, old, forcing, label, order):
             # SuperLU with its default COLAMD ordering on the full
             # nonsymmetric matrix, no refinement
             labels.append(label)
@@ -446,9 +459,47 @@ class TestMomentumSystems:
         assert moved
 
 
+def band_transpose(lower):
+    """The transpose of a lower band matrix ``lower`` in LAPACK upper band
+    storage, ``upper[kd - d, j] = lower[d, j - d]``; the unreferenced top-left
+    triangle is zero."""
+    kd, n = lower.shape[0] - 1, lower.shape[1]
+    upper = np.zeros_like(lower)
+    for d in range(kd + 1):
+        upper[kd - d, d:] = lower[d, :n - d]
+    return upper
+
+
+def index_array_refactor(lower, diagonals, j0):
+    """The reference for a refactor from column ``j0 >= kd``: the kept factor
+    ``lower`` with its trailing columns replaced by those of ``diagonals``
+    (:func:`_band_diagonals`), less ``B B^T``, ``B = L[j0:j0+kd, j0-kd:j0]``
+    gathered and scattered through index arrays, then factored by dpbtrf."""
+    _, rows, kd = diagonals.shape
+    n = rows * kd
+    factor = np.asfortranarray(lower.copy())
+    band = factor[:, j0:]
+    band[:] = 0.0
+    band[0], band[1], band[kd] = diagonals.reshape(3, n)[:, j0:]
+    # B's rows stop at the last column
+    k = min(kd, n - j0)
+    r, c = np.triu_indices(kd)
+    r, c = r[r < k], c[r < k]
+    block = np.zeros((k, kd))
+    block[r, c] = factor[kd + r - c, j0 - kd + c]
+    update = block @ block.T
+    r, c = np.tril_indices(k)
+    band[r - c, c] -= update[r, c]
+    trailing, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    assert info == 0
+    band[...] = trailing
+    return factor
+
+
 class TestKeptFactor:
-    """Each component keeps its factor of I/dt plus viscosity and refactors
-    it from the first column whose band diagonals moved."""
+    """Each component keeps its viscosity, viscous fields and factor of
+    I/dt plus viscosity, with the factor's transpose, and refactors from the
+    first column whose band diagonals moved."""
 
     # nx != ny, so u's kd = ny and v's kd = ny - 1 differ
     grid = StaggeredGrid2D(12, 10)
@@ -469,12 +520,17 @@ class TestKeptFactor:
 
     def test_unchanged_viscosity_makes_no_factor(self, monkeypatch):
         solver, state, rng, columns = self.factored(monkeypatch)
+        built = []
+        band_diagonals = solver_module._band_diagonals
+        monkeypatch.setattr(solver_module, "_band_diagonals",
+                            lambda *a: built.append(1) or band_diagonals(*a))
         # the convection moves, the temperature does not
         moved = dataclasses.replace(state, u=rng.normal(size=self.grid.u_shape),
                                     v=rng.normal(size=self.grid.v_shape))
         kept = solver.tentative_velocity(moved)
-        assert columns == []
+        assert columns == [] and built == []
         fresh = CavitySolver(solver.cfg).tentative_velocity(moved)
+        assert len(built) == 2
         for a, b in zip(kept, fresh, strict=True):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
 
@@ -493,22 +549,61 @@ class TestKeptFactor:
         fresh = CavitySolver(solver.cfg)
         fresh.tentative_velocity(moved)
         for label in ("u-momentum", "v-momentum"):
-            kept, factor = solver._factors[label][1], fresh._factors[label][1]
+            kept, factor = solver._factors[label].lower, fresh._factors[label].lower
             assert np.max(np.abs(kept - factor)) <= 1e-15 * np.max(np.abs(factor)), label
 
     def test_change_within_the_last_column_factors_its_tail(self, monkeypatch):
         # the block B then has fewer than kd rows
         solver, _, rng, columns = self.factored(monkeypatch)
         (_, viscous), shape = random_values(solver, "u", rng)
-        shift = 1.0 / solver.cfg.dt
-        solver._viscous_factor(solver_module._band_diagonals(viscous, shift, "F"), "u")
+        solver._viscous_factor(None, viscous, "u", "F")
+        viscous = viscous.copy()
         viscous[0, 3:, -1] *= 2.0
-        moved = solver_module._band_diagonals(viscous, shift, "F")
-        kept = solver._viscous_factor(moved, "u")
-        factor = CavitySolver(solver.cfg)._viscous_factor(moved, "u")
+        kept = solver._viscous_factor(None, viscous, "u", "F").lower
+        factor = CavitySolver(solver.cfg)._viscous_factor(None, viscous, "u", "F").lower
         rows, n = shape[0], shape[0] * shape[1]
         assert columns == [n, rows - 3, n]
         assert np.max(np.abs(kept - factor)) <= 1e-15 * np.max(np.abs(factor))
+
+    def test_upper_copy_is_the_band_transpose(self, monkeypatch):
+        solver, state, rng, columns = self.factored(monkeypatch)
+
+        def check(label):
+            factor = solver._factors[label]
+            assert factor.lower.flags.f_contiguous and factor.upper.flags.f_contiguous
+            np.testing.assert_array_equal(factor.upper, band_transpose(factor.lower))
+
+        # a full factor of each component
+        for label in ("u-momentum", "v-momentum"):
+            check(label)
+        # a trailing refactor
+        temp = state.temp.copy()
+        temp[:, 7:] = rng.uniform(600.0, 650.0, (self.grid.ny, self.grid.nx - 7))
+        solver.tentative_velocity(dataclasses.replace(state, temp=temp))
+        for label in ("u-momentum", "v-momentum"):
+            check(label)
+        # a refactor of the last rows only, whose block B is short
+        viscous = solver._factors["u-momentum"].viscous.copy()
+        viscous[0, 3:, -1] *= 2.0
+        solver._viscous_factor(None, viscous, "u-momentum", "F")
+        rows = self.grid.ny
+        assert columns[-1] == rows - 3
+        check("u-momentum")
+
+    @pytest.mark.parametrize(("column", "row"), [(5, 2), (-1, 3)])
+    def test_view_update_matches_index_arrays(self, monkeypatch, column, row):
+        # from column 5 B has kd rows; from row 3 of the last column, kd - 3
+        solver, _, rng, _ = self.factored(monkeypatch)
+        (_, viscous), shape = random_values(solver, "u", rng)
+        before = solver._viscous_factor(None, viscous, "u", "F").lower.copy()
+        viscous = viscous.copy()
+        viscous[0, row:, column] *= 2.0
+        factor = solver._viscous_factor(None, viscous, "u", "F")
+        kd = shape[0]
+        j0 = (column % shape[1]) * kd + row
+        assert j0 >= kd
+        reference = index_array_refactor(before, factor.diagonals, j0)
+        np.testing.assert_array_equal(factor.lower, reference)
 
     def test_first_column_change_or_new_shape_refactors_everything(self, monkeypatch):
         solver, state, rng, columns = self.factored(monkeypatch)
@@ -520,23 +615,23 @@ class TestKeptFactor:
         columns.clear()
         other = CavitySolver(small_config(grid=StaggeredGrid2D(8, 6)))
         system, shape = random_values(other, "u", rng)
-        solver._solve_component(*system, np.zeros(shape), np.ones(shape), "u-momentum", "F")
+        solve_system(solver, system, np.zeros(shape), np.ones(shape), "u-momentum", "F")
         assert columns == [shape[0] * shape[1]]
 
     def test_indefinite_trailing_update_raises(self, monkeypatch):
         solver, _, rng, columns = self.factored(monkeypatch)
         (coeffs, viscous), shape = random_values(solver, "u", rng)
         old, forcing = np.zeros(shape), np.ones(shape)
-        solver._solve_component(coeffs, viscous, old, forcing, "u", "F")
+        solve_system(solver, (coeffs, viscous), old, forcing, "u", "F")
         # a negative diagonal in the last x-column of faces, below its
         # first rows: only the rows from there on are factored
         indefinite = viscous.copy()
         indefinite[0, 3, -1] = -2.0 / solver.cfg.dt
         rows, n = shape[0], shape[0] * shape[1]
         with pytest.raises(NumericalError, match="u factorization failed"):
-            solver._solve_component(coeffs, indefinite, old, forcing, "u", "F")
+            solve_system(solver, (coeffs, indefinite), old, forcing, "u", "F")
         # a failed factor is not kept: the next solve factors every column
-        solver._solve_component(coeffs, viscous, old, forcing, "u", "F")
+        solve_system(solver, (coeffs, viscous), old, forcing, "u", "F")
         assert columns == [n, rows - 3, n]
 
     @pytest.mark.parametrize("make", [default_mushy_config, default_pure_metal_config])
@@ -546,13 +641,14 @@ class TestKeptFactor:
         kept = run_case(cfg)
         reused = sum(columns)
         columns.clear()
-        factor = CavitySolver._viscous_factor
+        predict = CavitySolver.tentative_velocity
 
-        def from_scratch(self, diagonals, label):
+        def from_scratch(self, state):
+            # a solver without kept factors refactors every column
             self._factors.clear()
-            return factor(self, diagonals, label)
+            return predict(self, state)
 
-        monkeypatch.setattr(CavitySolver, "_viscous_factor", from_scratch)
+        monkeypatch.setattr(CavitySolver, "tentative_velocity", from_scratch)
         fresh = run_case(cfg)
         g = cfg.grid
         assert reused < sum(columns) == cfg.n_steps * (g.ny * (g.nx - 1) + (g.ny - 1) * g.nx)
