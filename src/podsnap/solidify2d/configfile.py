@@ -69,7 +69,9 @@ def parse_config_text(text: str) -> SimConfig:
     overrides are applied together, so cross-field checks see the final
     values.
     """
-    parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
+    # no section is special, so [DEFAULT] is an unknown one like any other
+    parser = configparser.ConfigParser(delimiters=("=",), interpolation=None,
+                                       default_section=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

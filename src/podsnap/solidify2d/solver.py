@@ -19,21 +19,12 @@ temperature operators have constant coefficients on this uniform grid,
 so each is a 1D operator along y plus one along x, solved by fast
 diagonalisation in the eigenbases of the two (Lynch, Rice & Thomas
 1964). The momentum operators move with the viscosity and the
-convecting velocity every step. Each is applied as a stencil, which
-gives the explicit half, and solved by a banded Cholesky factor of its
-viscous part (implicit viscosity plus ``I/dt``, which depends on the
-viscosity alone) with iterative refinement removing the convective
-remainder. The viscosity moves only where the melt is below freezing,
-a slab against the cooled right wall, so each component's viscous part
-and factor are kept: reused whole while the viscosity has not moved,
-and refactored from the first x-column whose viscosity moved. Beside
-the lower factor L each component keeps ``L^T`` in upper band storage,
-so both triangular sweeps of a solve run column by column.
+convecting velocity every step. Each component's system, and the
+banded Cholesky factor of its viscous part that it keeps between
+steps, is a :class:`_Momentum`.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 # unused here; perfbench/spans.py patches ``solver.spla``, so the name stays
@@ -60,7 +51,7 @@ _EPS = np.finfo(float).eps
 
 def _apply(coeffs, shift, w):
     """``(shift I + L) w`` for the five-point coefficients ``coeffs`` of
-    :meth:`CavitySolver._stencil` and a field ``w`` of their shape.
+    :meth:`_Momentum.stencil` and a field ``w`` of their shape.
 
     The field is walked flat, which runs about 40 % faster than by rows:
     east and west are the next and previous entries, north and south one
@@ -79,7 +70,7 @@ def _apply(coeffs, shift, w):
 
 def _band_diagonals(viscous, shift, ghost, order):
     """The nonzero diagonals of ``shift I + V``, V the viscous part
-    ``viscous`` of :meth:`CavitySolver._viscous` with the tangential wall
+    ``viscous`` of :meth:`_Momentum.viscous_part` with the tangential wall
     ghost ``ghost`` folded in, with the nodes numbered in numpy index
     ``order`` ('C' row by row, 'F' column by column).
 
@@ -98,19 +89,6 @@ def _band_diagonals(viscous, shift, ghost, order):
     out[1, :, :-1] = along[:, :-1]
     out[2, :-1] = across[:-1]
     return out
-
-
-class _Factor(NamedTuple):
-    """A momentum component's kept viscous system: the viscosity ``mu``,
-    its viscous fields (:meth:`CavitySolver._viscous`), the band diagonals
-    of ``I/dt + V`` (:func:`_band_diagonals`), their lower band Cholesky
-    factor and its transpose in LAPACK upper band storage."""
-
-    mu: np.ndarray
-    viscous: np.ndarray
-    diagonals: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
 
 def _check_residual(sol, residual, rhs, tol, label):
@@ -157,21 +135,218 @@ class _Separable:
         return sol
 
 
+class _Momentum:
+    """One momentum component's system ``A = I/dt + L`` on its interior
+    faces, which are normal to array axis 1 (v is solved as the u problem
+    on transposed fields), and what the component keeps between steps.
+
+    Fixed at construction: the ``label`` that errors name, the interior
+    field ``shape``, the spacings ``d_own`` along the component and
+    ``d_other`` across it, ``shift = 1/dt``, the tangential wall
+    ``ghost`` sign and the numpy index ``order`` in which the factor
+    numbers the nodes ('C' row by row, 'F' column by column), whose line
+    length is the band width ``kd``.
+
+    ``A = S + C`` splits into ``S = I/dt + V``, V the viscous part
+    (:meth:`viscous_part`), which is symmetric positive definite and
+    depends on the viscosity alone, and the convective remainder C. Kept
+    are the viscosity ``mu``, its viscous fields ``viscous``, S's band
+    diagonals ``diagonals`` (:func:`_band_diagonals`), S's lower band
+    Cholesky factor ``lower`` and that factor's transpose ``upper`` in
+    LAPACK upper band storage, ``upper[kd - d, j] = lower[d, j - d]``. The
+    viscosity moves only where the melt is below freezing, a slab against
+    the cooled right wall, so all of it is reused while the viscosity has
+    not moved and the factor is refactored from the first column whose
+    diagonals moved (:meth:`factor`). The factor lives in a flat buffer,
+    allocated once behind ``kd * kd`` leading zeros.
+    """
+
+    def __init__(self, label, shape, d_own, d_other, shift, ghost, order):
+        self.label, self.d_own, self.d_other = label, d_own, d_other
+        self.shift, self.ghost, self.order = shift, ghost, order
+        self.kd = kd = shape[0] if order == "F" else shape[1]
+        n = shape[0] * shape[1]
+        self._buffer = np.zeros(kd * kd + (kd + 1) * n)
+        self.lower = self._buffer[kd * kd:].reshape((kd + 1, n), order="F")
+        self.upper = np.empty((kd + 1, n), order="F")
+        self.clear()
+
+    def clear(self):
+        """Forget the kept system; the next solve factors every column."""
+        self.mu = self.viscous = self.diagonals = None
+
+    def viscous_part(self, mu):
+        """The viscous part V = -diff / 2 of L as diagonal, east, west,
+        north and south fields; a coupling that would leave the field is
+        never read, and the tangential wall ghost is left to
+        :meth:`stencil` and :func:`_band_diagonals`. V depends on the
+        viscosity ``mu`` alone."""
+        # mu edge-padded by one row above and below
+        pad = np.concatenate((mu[:1], mu, mu[-1:]))
+        corner = 0.25 * (pad[:-1, :-1] + pad[:-1, 1:] + pad[1:, :-1] + pad[1:, 1:])
+        ce = mu[:, 1:] / self.d_own**2
+        cw = mu[:, :-1] / self.d_own**2
+        cn = corner[1:] / self.d_other**2
+        cs = corner[:-1] / self.d_other**2
+        return 0.5 * np.stack([ce + cw + cn + cs, -ce, -cw, -cn, -cs])
+
+    def stencil(self, wb, ob, viscous):
+        """Coefficients of L = (conv - diff) / 2, stacked as diagonal, east,
+        west, north and south fields: the central convection by ``wb``
+        along axis 1 and ``ob`` along axis 0 added to the fields of
+        ``viscous`` (:meth:`viscous_part`). The east and west couplings
+        across a row end, which would leave the field, are zero."""
+        along = wb / (4 * self.d_own)
+        across = ob / (4 * self.d_other)
+        coeffs = viscous.copy()
+        diag, east, west, north, south = coeffs
+        east += along
+        west -= along
+        north += across
+        south -= across
+        # fold the tangential wall ghost (ghost = sgn * interior) into
+        # the diagonal on the two walls the component slides along
+        diag[0, :] += self.ghost * south[0, :]
+        diag[-1, :] += self.ghost * north[-1, :]
+        # :func:`_apply` reads them across the row end
+        east[:, -1] = 0.0
+        west[:, 0] = 0.0
+        return coeffs
+
+    def factor(self, mu, viscous):
+        """Keep the viscosity ``mu``, its viscous fields ``viscous`` and the
+        band diagonals of S, and bring ``lower`` and ``upper`` up to date.
+
+        A Cholesky factor's leading columns depend only on the matrix's
+        leading columns, so the kept factor's columns before the first
+        one, ``j0``, whose diagonals changed are kept. Their coupling to
+        the rest, the upper-triangular block ``B = L[j0:j0+kd, j0-kd:j0]``,
+        is removed by subtracting ``B B^T`` from the leading corner of the
+        new trailing band, which ``dpbtrf`` then factors alone. A first
+        change before column ``kd`` refactors from ``j0 = 0``, and so does
+        a cleared system, whose diagonals differ everywhere; a factor that
+        fails clears the system.
+
+        The leading zeros of the buffer make B, the corner and the upper
+        copy all strided views of it, with no index arrays: ``B[r, c]`` and
+        the corner's ``(r, c)`` lie at stride 1 along r and kd along c, and
+        ``upper[q, j]`` at ``j (kd + 1) + q kd``. The upper copy is refreshed
+        from column ``j0`` on by one strided copy; copying it diagonal by
+        diagonal, ``kd + 1`` slices, took as long as the column sweeps save.
+        """
+        diagonals = _band_diagonals(viscous, self.shift, self.ghost, self.order)
+        kd, buffer, lower = self.kd, self._buffer, self.lower
+        n = lower.shape[1]
+        # a cleared system's None differs from every diagonal
+        changed = np.flatnonzero(np.any(diagonals != self.diagonals, axis=0))
+        j0 = changed[0] if changed.size else n
+        j0 = j0 if j0 >= kd else 0
+        self.mu, self.viscous, self.diagonals = mu, viscous, diagonals
+        if j0 == n:
+            return
+        # the trailing columns, in place; Fortran order keeps them contiguous
+        band = lower[:, j0:]
+        band[:] = 0.0
+        band[0], band[1], band[kd] = diagonals.reshape(3, n)[:, j0:]
+        start = kd * kd + j0 * (kd + 1)
+        if j0:
+            # B's rows stop at the last column
+            k = min(kd, n - j0)
+            # B through a view of its transpose; triu drops the entries
+            # below B's triangle, which belong to other factor columns
+            block = np.triu(buffer[start - kd * kd:start].reshape(kd, kd)[:, :k].T)
+            update = block @ block.T
+            corner = buffer[start:start + k * kd].reshape(k, kd)[:, :k]
+            # the view's entries below its diagonal alias other band entries
+            corner -= np.triu(update.T)
+        trailing, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:
+            self.clear()
+            raise NumericalError(
+                f"{self.label} factorization failed: viscous part not positive definite "
+                f"(dpbtrf info {info} from column {j0})"
+            )
+        # a no-op when dpbtrf factored in place, as it does for this band
+        band[...] = trailing
+        step = buffer.itemsize
+        self.upper[:, j0:] = as_strided(buffer[start - kd * kd:], shape=(kd + 1, n - j0),
+                                        strides=(kd * step, (kd + 1) * step), writeable=False)
+
+    def solve(self, coeffs, old, forcing):
+        """Solve ``A w = (I/dt - L) old + forcing`` for the stencil ``coeffs``
+        of L (:meth:`stencil`), with the kept factor of S.
+
+        Each solve with S sweeps both triangles column by column, the axpy
+        form of ``dtbsv`` without transpose: L forward, then ``L^T``
+        backward from its upper band copy; the dot form, which ``dpbtrs``
+        uses for ``L^T``, runs 1.5 times slower on OpenBLAS at kd = 64 and
+        2.8 times at kd = 63. C is removed by iterative refinement
+        ``w <- w + S^-1 (rhs - A w)`` (Concus & Golub 1976; Widlund 1978),
+        with A applied as the stencil. The error contracts by
+        ``||S^-1/2 C S^-1/2||_2`` per sweep, so the sweeps converge iff that
+        norm is below 1; it is at most ``dt ||C||``, about half the CFL
+        number of the convecting velocity.
+
+        The sweeps stop at the round-off floor, measured on the Jacobi-
+        scaled residual ``D^-1 (rhs - A w)``, which estimates the error of
+        each row in units of w: once its norm is at most machine epsilon
+        times ``||w||``, or stops halving (the halving test of LAPACK's
+        ``dgerfs``; Arioli, Demmel & Duff 1989). The scaling puts solid
+        rows, with viscosities up to 1e8, on the footing of liquid ones,
+        so the liquid converges even where the solid dominates ``||rhs||``.
+        ``dgerfs``'s componentwise backward error is not used: on rows
+        near rest it falls unevenly and stopped low-viscosity solves early.
+        """
+        shift, kd, order = self.shift, self.kd, self.order
+
+        def inverse(r):
+            x = dtbsv(kd, self.lower, r.flatten(order), lower=1, overwrite_x=1)
+            x = dtbsv(kd, self.upper, x, overwrite_x=1)
+            # back in r's row-major layout, which the stencil applies read fastest
+            return np.ascontiguousarray(x.reshape(r.shape, order=order))
+
+        rhs = (2.0 * shift) * old - _apply(coeffs, shift, old) + forcing
+        inverse_diagonal = 1.0 / (shift + coeffs[0])
+        sol = inverse(rhs)
+        last = np.inf
+        for _ in range(MAX_SWEEPS):
+            residual = rhs - _apply(coeffs, shift, sol)
+            error = np.linalg.norm(inverse_diagonal * residual)
+            if error <= _EPS * np.linalg.norm(sol) or not error <= 0.5 * last:
+                break
+            sol += inverse(residual)
+            last = error
+        else:
+            raise NumericalError(
+                f"{self.label} refinement did not converge in {MAX_SWEEPS} sweeps"
+            )
+        _check_residual(sol, residual, rhs, SOLVE_TOL, self.label)
+        return sol
+
+    def tentative(self, w, wbar, obar, p, mu, forcing):
+        """Tentative field of the component ``w``; ``wbar`` and ``obar`` are
+        the convecting velocities of this and the other component, ``p``
+        the pressure and ``mu`` the cell viscosity. The kept system serves
+        unchanged while ``mu`` equals the kept viscosity exactly. Wall
+        faces keep their values."""
+        ob = 0.25 * (obar[:-1, :-1] + obar[:-1, 1:] + obar[1:, :-1] + obar[1:, 1:])
+        grad = (p[:, 1:] - p[:, :-1]) / self.d_own
+        if not np.array_equal(self.mu, mu):
+            self.factor(mu, self.viscous_part(mu))
+        coeffs = self.stencil(wbar[:, 1:-1], ob, self.viscous)
+        out = w.copy()
+        out[:, 1:-1] = self.solve(coeffs, w[:, 1:-1], forcing - grad)
+        return out
+
+
 class CavitySolver:
     """Holds the grid operators and advances :class:`FlowState` objects.
 
     The pressure and temperature operators are :class:`_Separable`, built
-    from Neumann :func:`_second_difference` matrices at construction.
-    The momentum operators move with the viscosity and the convecting
-    velocity, so each step rebuilds them as five-point coefficient
-    arrays (:meth:`_stencil`) and solves them by :meth:`_solve_component`:
-    a banded Cholesky factor of the viscous part (:meth:`_viscous`), then
-    iterative refinement against the full operator. Each component's
-    viscous part and factor are kept between steps, reused while the
-    viscosity has not moved and refactored from the first x-column
-    whose viscosity moved (:meth:`_viscous_factor`). A factor that is not
-    positive definite and a refinement that has not converged in
-    ``MAX_SWEEPS`` sweeps raise :class:`NumericalError`, as does every
+    from Neumann :func:`_second_difference` matrices at construction, and
+    each momentum component is a :class:`_Momentum`. A momentum factor
+    that is not positive definite and a refinement that has not converged
+    in ``MAX_SWEEPS`` sweeps raise :class:`NumericalError`, as does every
     solve that fails the residual check of :func:`_check_residual`.
     """
 
@@ -179,7 +354,6 @@ class CavitySolver:
         self.cfg = cfg
         g = cfg.grid
         self.dx, self.dy = g.dx, g.dy
-        self._ghost = -1.0 if cfg.wall_tangential == "no_slip" else 1.0
         ay, ax = _second_difference(g.ny, g.dy), _second_difference(g.nx, g.dx)
         self._pressure = _Separable(ay, ax, 0.0, "pressure Poisson")
         # the constant mode comes first in ascending order; an infinite
@@ -189,8 +363,12 @@ class CavitySolver:
         ax = k * ax
         ax[-1, -1] += wall.h / g.dx
         self._temperature = _Separable(k * ay, ax, 1.0 / cfg.dt, "temperature")
-        # momentum label -> _Factor; filled by the first solve
-        self._factors = {}
+        ghost, shift = (-1.0 if cfg.wall_tangential == "no_slip" else 1.0), 1.0 / cfg.dt
+        # both factors number the faces x-major, u column by column and v in
+        # the natural order of its transposed field, so a viscosity change
+        # near the cooled right wall leaves the leading columns of both in place
+        self._u = _Momentum("u-momentum", (g.ny, g.nx - 1), g.dx, g.dy, shift, ghost, "F")
+        self._v = _Momentum("v-momentum", (g.nx, g.ny - 1), g.dy, g.dx, shift, ghost, "C")
 
     # ------------------------------------------------------------------
     # pressure correction
@@ -208,200 +386,13 @@ class CavitySolver:
     # ------------------------------------------------------------------
     # momentum
     # ------------------------------------------------------------------
-    def _viscous(self, mu, d_own, d_other):
-        """The viscous part V = -diff / 2 of L on the interior faces normal
-        to axis 1, as diagonal, east, west, north and south fields; a
-        coupling that would leave the field is never read, and the
-        tangential wall ghost is left to :meth:`_stencil` and
-        :func:`_band_diagonals`. V depends on the viscosity ``mu`` alone."""
-        # mu edge-padded by one row above and below
-        pad = np.concatenate((mu[:1], mu, mu[-1:]))
-        corner = 0.25 * (pad[:-1, :-1] + pad[:-1, 1:] + pad[1:, :-1] + pad[1:, 1:])
-        ce = mu[:, 1:] / d_own**2
-        cw = mu[:, :-1] / d_own**2
-        cn = corner[1:] / d_other**2
-        cs = corner[:-1] / d_other**2
-        return 0.5 * np.stack([ce + cw + cn + cs, -ce, -cw, -cn, -cs])
-
-    def _stencil(self, wb, ob, viscous, d_own, d_other):
-        """Coefficients of L = (conv - diff) / 2, stacked as diagonal, east,
-        west, north and south fields: the central convection by ``wb``
-        along axis 1 and ``ob`` along axis 0 added to the fields of
-        ``viscous`` (:meth:`_viscous`). The east and west couplings across
-        a row end, which would leave the field, are zero."""
-        along = wb / (4 * d_own)
-        across = ob / (4 * d_other)
-        coeffs = viscous.copy()
-        diag, east, west, north, south = coeffs
-        east += along
-        west -= along
-        north += across
-        south -= across
-        # fold the tangential wall ghost (ghost = sgn * interior) into
-        # the diagonal on the two walls the component slides along
-        diag[0, :] += self._ghost * south[0, :]
-        diag[-1, :] += self._ghost * north[-1, :]
-        # :func:`_apply` reads them across the row end
-        east[:, -1] = 0.0
-        west[:, 0] = 0.0
-        return coeffs
-
-    def _viscous_factor(self, mu, viscous, label, order):
-        """Keep, as ``label``'s entry of ``_factors``, the viscosity ``mu``,
-        its viscous fields ``viscous`` (:meth:`_viscous`), the band
-        diagonals of ``S = I/dt + V`` with the nodes numbered in numpy
-        index ``order`` (:func:`_band_diagonals`), S's lower band Cholesky
-        factor and that factor's transpose in LAPACK upper band storage,
-        ``upper[kd - d, j] = lower[d, j - d]``; return the entry.
-
-        A Cholesky factor's leading columns depend only on the matrix's
-        leading columns, so the kept factor's columns before the first
-        one, ``j0``, whose diagonals changed are kept. Their coupling to
-        the rest, the upper-triangular block ``B = L[j0:j0+kd, j0-kd:j0]``,
-        is removed by subtracting ``B B^T`` from the leading corner of the
-        new trailing band, which ``dpbtrf`` then factors alone. A first
-        change before column ``kd``, a new shape or no kept factor
-        refactor from ``j0 = 0``.
-
-        The factor lives in a flat buffer behind ``kd * kd`` leading zeros,
-        so that B, the corner and the upper copy are all strided views of
-        it, with no index arrays: ``B[r, c]`` and the corner's ``(r, c)``
-        lie at stride 1 along r and kd along c, and ``upper[q, j]`` at
-        ``j (kd + 1) + q kd``. The upper copy is refreshed from column
-        ``j0`` on by one strided copy; copying it diagonal by diagonal,
-        ``kd + 1`` slices, took as long as the column sweeps save.
-        """
-        shift = 1.0 / self.cfg.dt
-        diagonals = _band_diagonals(viscous, shift, self._ghost, order)
-        _, rows, kd = diagonals.shape
-        n = rows * kd
-        kept = self._factors.pop(label, None)
-        if kept is None or kept.lower.shape != (kd + 1, n):
-            j0 = 0
-            buffer = np.zeros(kd * kd + (kd + 1) * n)
-            lower = buffer[kd * kd:].reshape((kd + 1, n), order="F")
-            upper = np.empty((kd + 1, n), order="F")
-        else:
-            changed = np.flatnonzero(np.any(diagonals != kept.diagonals, axis=0))
-            j0 = changed[0] if changed.size else n
-            j0 = j0 if j0 >= kd else 0
-            lower, upper = kept.lower, kept.upper
-            # the flat buffer that lower views
-            buffer = lower.base
-        if j0 < n:
-            # the trailing columns, in place; Fortran order keeps them contiguous
-            band = lower[:, j0:]
-            band[:] = 0.0
-            band[0], band[1], band[kd] = diagonals.reshape(3, n)[:, j0:]
-            start = kd * kd + j0 * (kd + 1)
-            if j0:
-                # B's rows stop at the last column
-                k = min(kd, n - j0)
-                # B through a view of its transpose; triu drops the entries
-                # below B's triangle, which belong to other factor columns
-                block = np.triu(buffer[start - kd * kd:start].reshape(kd, kd)[:, :k].T)
-                update = block @ block.T
-                corner = buffer[start:start + k * kd].reshape(k, kd)[:, :k]
-                # the view's entries below its diagonal alias other band entries
-                corner -= np.triu(update.T)
-            trailing, info = dpbtrf(band, lower=1, overwrite_ab=1)
-            if info != 0:
-                raise NumericalError(
-                    f"{label} factorization failed: viscous part not positive definite "
-                    f"(dpbtrf info {info} from column {j0})"
-                )
-            # a no-op when dpbtrf factored in place, as it does for this band
-            band[...] = trailing
-            step = buffer.itemsize
-            upper[:, j0:] = as_strided(buffer[start - kd * kd:], shape=(kd + 1, n - j0),
-                                       strides=(kd * step, (kd + 1) * step), writeable=False)
-        entry = _Factor(mu, viscous, diagonals, lower, upper)
-        self._factors[label] = entry
-        return entry
-
-    def _solve_component(self, coeffs, factor, old, forcing, label, order="C"):
-        """Solve ``A w = (I/dt - L) old + forcing`` for ``A = I/dt + L``.
-
-        ``A = S + C`` splits into ``S = I/dt + V``, V the viscous part
-        (:meth:`_viscous`), which is symmetric positive definite and depends
-        on the viscosity alone, and the convective remainder C. S is
-        factored by banded Cholesky, ``S = L L^T``, with the nodes numbered
-        in numpy index ``order``, and ``factor`` (:meth:`_viscous_factor`)
-        holds L and ``L^T``. Each solve with S sweeps both triangles
-        column by column, the axpy form of ``dtbsv`` without transpose:
-        L forward, then ``L^T`` backward from its upper band copy; the dot
-        form, which ``dpbtrs`` uses for ``L^T``, runs 1.5 times slower on
-        OpenBLAS at kd = 64 and 2.8 times at kd = 63. C is removed by iterative
-        refinement ``w <- w + S^-1 (rhs - A w)`` (Concus & Golub 1976;
-        Widlund 1978), with A applied as the stencil. The error contracts
-        by ``||S^-1/2 C S^-1/2||_2`` per sweep, so the sweeps converge iff
-        that norm is below 1; it is at most ``dt ||C||``, about half the
-        CFL number of the convecting velocity.
-
-        The sweeps stop at the round-off floor, measured on the Jacobi-
-        scaled residual ``D^-1 (rhs - A w)``, which estimates the error of
-        each row in units of w: once its norm is at most machine epsilon
-        times ``||w||``, or stops halving (the halving test of LAPACK's
-        ``dgerfs``; Arioli, Demmel & Duff 1989). The scaling puts solid
-        rows, with viscosities up to 1e8, on the footing of liquid ones,
-        so the liquid converges even where the solid dominates ``||rhs||``.
-        ``dgerfs``'s componentwise backward error is not used: on rows
-        near rest it falls unevenly and stopped low-viscosity solves early.
-        """
-        shift = 1.0 / self.cfg.dt
-        kd = factor.lower.shape[0] - 1
-
-        def solve(r):
-            x = dtbsv(kd, factor.lower, r.flatten(order), lower=1, overwrite_x=1)
-            x = dtbsv(kd, factor.upper, x, overwrite_x=1)
-            # back in r's row-major layout, which the stencil applies read fastest
-            return np.ascontiguousarray(x.reshape(r.shape, order=order))
-
-        rhs = (2.0 * shift) * old - _apply(coeffs, shift, old) + forcing
-        inverse_diagonal = 1.0 / (shift + coeffs[0])
-        sol = solve(rhs)
-        last = np.inf
-        for _ in range(MAX_SWEEPS):
-            residual = rhs - _apply(coeffs, shift, sol)
-            error = np.linalg.norm(inverse_diagonal * residual)
-            if error <= _EPS * np.linalg.norm(sol) or not error <= 0.5 * last:
-                break
-            sol += solve(residual)
-            last = error
-        else:
-            raise NumericalError(f"{label} refinement did not converge in {MAX_SWEEPS} sweeps")
-        _check_residual(sol, residual, rhs, SOLVE_TOL, label)
-        return sol
-
-    def _component(self, w, wbar, obar, p, mu, forcing, d_own, d_other, label, order="C"):
-        """Tentative field of the component ``w`` whose faces are normal to
-        array axis 1; ``wbar`` and ``obar`` are the convecting velocities
-        of this and the other component, and ``order`` numbers the nodes
-        of its factor. The kept viscous part and factor serve unchanged
-        while ``mu`` equals the kept viscosity exactly. Wall faces keep
-        their values."""
-        ob = 0.25 * (obar[:-1, :-1] + obar[:-1, 1:] + obar[1:, :-1] + obar[1:, 1:])
-        grad = (p[:, 1:] - p[:, :-1]) / d_own
-        factor = self._factors.get(label)
-        if factor is None or not np.array_equal(factor.mu, mu):
-            factor = self._viscous_factor(mu, self._viscous(mu, d_own, d_other), label, order)
-        coeffs = self._stencil(wbar[:, 1:-1], ob, factor.viscous, d_own, d_other)
-        out = w.copy()
-        out[:, 1:-1] = self._solve_component(
-            coeffs, factor, w[:, 1:-1], forcing - grad, label, order
-        )
-        return out
-
     def tentative_velocity(self, state: FlowState):
         """Implicit momentum predictor; returns (u_tent, v_tent).
 
         Wall-normal faces stay at zero (impermeable box); the pressure
         gradient of the current guess and buoyancy enter the right-hand
         side. The predictor is written once, for u; v is solved as the u
-        problem on transposed fields, with dx and dy swapped. Both factors
-        number the faces x-major, u column by column and v in the natural
-        order of its transposed field, so a viscosity change near the
-        cooled right wall leaves the leading columns of both in place.
+        problem on transposed fields, with dx and dy swapped.
         """
         cfg = self.cfg
         mu = viscosity_of(cfg.viscosity, state.temp)
@@ -412,10 +403,8 @@ class CavitySolver:
             vbar = 1.5 * state.v - 0.5 * state.v_prev
         t_face = 0.5 * (state.temp[:-1, :] + state.temp[1:, :])
         buoyancy = cfg.buoyancy_coeff * (t_face - cfg.t_ref)
-        u_tent = self._component(state.u, ubar, vbar, state.p_star, mu, 0.0,
-                                 self.dx, self.dy, "u-momentum", "F")
-        v_tent = self._component(state.v.T, vbar.T, ubar.T, state.p_star.T, mu.T, buoyancy.T,
-                                 self.dy, self.dx, "v-momentum", "C")
+        u_tent = self._u.tentative(state.u, ubar, vbar, state.p_star, mu, 0.0)
+        v_tent = self._v.tentative(state.v.T, vbar.T, ubar.T, state.p_star.T, mu.T, buoyancy.T)
         return u_tent, v_tent.T
 
     def velocity_update(self, u_tent, v_tent, phi):
@@ -504,6 +493,8 @@ class CavitySolver:
         rows = np.empty((cfg.n_steps // cfg.snap_every, layout.n_rows))
         labels = []
         state = initial_state(cfg)
+        for system in (self._u, self._v):
+            system.clear()
         for _ in range(cfg.n_steps):
             try:
                 state = self.step(state)

@@ -121,6 +121,23 @@ class TestGenerationVerbs:
             f"error: (data) {cfg_path}: unknown key 'mu_cap' in section [material]")
         assert not (tmp_path / "c.snap").exists()
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\ndt = 0.5\n",
+        "[DEFAULT]\nnx = 8\n[grid]\nny = 16\n",
+        "[DEFAULT]\ndt = 0.5\n[grid]\nnx = 8\n",
+    ], ids=["alone", "key-of-the-next-section", "key-of-another-section"])
+    def test_default_section_is_2(self, tmp_path, capsys, text):
+        # configparser's DEFAULT section would otherwise be dropped, or
+        # its keys read into every other section
+        cfg_path = tmp_path / "default.cfg"
+        cfg_path.write_text(text)
+        code = run_cli("gen-cavity2d", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "c.snap"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"error: (data) {cfg_path}: unknown section [DEFAULT]")
+        assert not (tmp_path / "c.snap").exists()
+
     def test_deterministic_output_bytes(self, tmp_path):
         a = tmp_path / "a.snap"
         b = tmp_path / "b.snap"

@@ -108,29 +108,36 @@ class TestTentativeVelocity:
 ORDER = {"u": "F", "v": "C"}
 
 
+def momentum(solver, component):
+    """The solver's momentum system of ``component``."""
+    return solver._u if component == "u" else solver._v
+
+
+def interior_shape(g, component):
+    """The interior field shape of ``component``; v is the u problem on
+    transposed fields, so its shape is transposed."""
+    return (g.ny, g.nx - 1) if component == "u" else (g.nx, g.ny - 1)
+
+
 def random_values(solver, component, rng):
     """Momentum-operator coefficients of ``component`` from random
     velocities and temperatures, as the ``(coeffs, viscous)`` pair of
-    ``_stencil`` and ``_viscous``; returns them with the interior field
-    shape they act on. v is the u problem on transposed fields, so its
-    shape is transposed."""
+    ``stencil`` and ``viscous_part``; returns them with the interior field
+    shape they act on."""
     g = solver.cfg.grid
     mu = viscosity_of(solver.cfg.viscosity, rng.uniform(600.0, 700.0, g.cell_shape))
-    if component == "u":
-        shape, spacings = (g.ny, g.nx - 1), (g.dx, g.dy)
-    else:
-        shape, spacings, mu = (g.nx, g.ny - 1), (g.dy, g.dx), mu.T
-    viscous = solver._viscous(mu, *spacings)
-    coeffs = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), viscous, *spacings)
+    system, shape = momentum(solver, component), interior_shape(g, component)
+    viscous = system.viscous_part(mu if component == "u" else mu.T)
+    coeffs = system.stencil(rng.normal(size=shape), rng.normal(size=shape), viscous)
     return (coeffs, viscous), shape
 
 
-def solve_system(solver, system, old, forcing, label, order="C"):
-    """``_solve_component`` of the ``(coeffs, viscous)`` pair ``system``,
-    its viscous part factored first and kept under ``label``."""
-    coeffs, viscous = system
-    factor = solver._viscous_factor(None, viscous, label, order)
-    return solver._solve_component(coeffs, factor, old, forcing, label, order)
+def solve_system(system, values, old, forcing):
+    """``system.solve`` of the ``(coeffs, viscous)`` pair ``values``, its
+    viscous part factored and kept by ``system`` first."""
+    coeffs, viscous = values
+    system.factor(None, viscous)
+    return system.solve(coeffs, old, forcing)
 
 
 def five_point(ny, nx):
@@ -292,20 +299,20 @@ class TestMomentumSystems:
         solver = CavitySolver(cfg)
         state = random_state(cfg, np.random.default_rng(23))
         calls = []
-        solve = CavitySolver._solve_component
+        solve = solver_module._Momentum.solve
 
-        def record(self, coeffs, factor, old, forcing, label, order):
-            calls.append((coeffs, factor, label, order))
-            return solve(self, coeffs, factor, old, forcing, label, order)
+        def record(self, coeffs, old, forcing):
+            calls.append((coeffs, self))
+            return solve(self, coeffs, old, forcing)
 
-        monkeypatch.setattr(CavitySolver, "_solve_component", record)
+        monkeypatch.setattr(solver_module._Momentum, "solve", record)
         # the first step convects with the current velocities
         solver.tentative_velocity(state)
         monkeypatch.undo()
         mu = viscosity_of(cfg.viscosity, state.temp)
         assert np.ptp(mu) > 0.0
-        for component, (coeffs, factor, label, order) in zip("uv", calls, strict=True):
-            assert (label, order) == (f"{component}-momentum", ORDER[component])
+        for component, (coeffs, system) in zip("uv", calls, strict=True):
+            assert (system.label, system.order) == (f"{component}-momentum", ORDER[component])
             dense = dense_momentum(cfg, state.u, state.v, mu, component)
             scale = np.max(np.abs(dense))
             # the stencil apply, column by column from unit fields
@@ -320,7 +327,7 @@ class TestMomentumSystems:
             zero_u, zero_v = np.zeros(g.u_shape), np.zeros(g.v_shape)
             viscous_dense = x_major(dense_momentum(cfg, zero_u, zero_v, mu, component), g, component)
             np.testing.assert_allclose(
-                diagonals_to_dense(factor.diagonals), viscous_dense,
+                diagonals_to_dense(system.diagonals), viscous_dense,
                 rtol=1e-12, atol=1e-12 * np.max(np.abs(viscous_dense)),
             )
 
@@ -336,8 +343,11 @@ class TestMomentumSystems:
         rhs = old.ravel() / cfg.dt - reference_operator(coeffs, shape) @ old.ravel() + forcing.ravel()
         expected = spla.spsolve(reference_matrix(coeffs, shape, cfg.dt), rhs)
         # either node order of the factor gives the field back in its layout
+        kept = momentum(solver, component)
         for order in "CF":
-            sol = solve_system(solver, system, old, forcing, f"{component}-{order}", order)
+            like = solver_module._Momentum(f"{component}-{order}", shape, kept.d_own,
+                                           kept.d_other, kept.shift, kept.ghost, order)
+            sol = solve_system(like, system, old, forcing)
             assert sol.shape == shape
             np.testing.assert_allclose(
                 sol.ravel(), expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected))
@@ -354,17 +364,12 @@ class TestMomentumSystems:
         # solid in the right half of the cavity, liquid in the left
         temp = np.where(np.arange(g.nx) < g.nx // 2, 700.0, 600.0) * np.ones(g.cell_shape)
         mu = viscosity_of(cfg.viscosity, temp)
-        if component == "u":
-            shape, spacings = (g.ny, g.nx - 1), (g.dx, g.dy)
-        else:
-            shape, spacings, mu = (g.nx, g.ny - 1), (g.dy, g.dx), mu.T
+        system, shape = momentum(solver, component), interior_shape(g, component)
         rng = np.random.default_rng(37)
-        viscous = solver._viscous(mu, *spacings)
-        coeffs = solver._stencil(rng.normal(size=shape), rng.normal(size=shape), viscous,
-                                 *spacings)
+        viscous = system.viscous_part(mu if component == "u" else mu.T)
+        coeffs = system.stencil(rng.normal(size=shape), rng.normal(size=shape), viscous)
         old, forcing = rng.normal(size=shape), rng.normal(size=shape)
-        sol = solve_system(solver, (coeffs, viscous), old, forcing, component,
-                           ORDER[component]).ravel()
+        sol = solve_system(system, (coeffs, viscous), old, forcing).ravel()
         matrix = reference_matrix(coeffs, shape, cfg.dt)
         old, forcing = old.ravel(), forcing.ravel()
         rhs = (2.0 / cfg.dt) * old - matrix @ old + forcing
@@ -392,8 +397,8 @@ class TestMomentumSystems:
         solver = CavitySolver(cfg)
         (coeffs, viscous), shape = random_values(solver, "u", np.random.default_rng(5))
         viscous[0, 3, 4] = -2.0 / cfg.dt
-        with pytest.raises(NumericalError, match="u factorization failed"):
-            solve_system(solver, (coeffs, viscous), np.zeros(shape), np.ones(shape), "u")
+        with pytest.raises(NumericalError, match="u-momentum factorization failed"):
+            solve_system(solver._u, (coeffs, viscous), np.zeros(shape), np.ones(shape))
 
     def test_refinement_that_cannot_converge_raises_within_the_cap(self, monkeypatch):
         # a uniform stream at 40 times the advective CFL limit: the sweeps
@@ -403,8 +408,8 @@ class TestMomentumSystems:
         solver = CavitySolver(cfg)
         shape = (g.ny, g.nx - 1)
         speed = 40.0 * g.dx / cfg.dt
-        viscous = solver._viscous(np.full(g.cell_shape, 1e-6), g.dx, g.dy)
-        system = solver._stencil(np.full(shape, speed), np.zeros(shape), viscous, g.dx, g.dy), viscous
+        viscous = solver._u.viscous_part(np.full(g.cell_shape, 1e-6))
+        system = solver._u.stencil(np.full(shape, speed), np.zeros(shape), viscous), viscous
         rng = np.random.default_rng(9)
         old, forcing = rng.normal(size=shape), rng.normal(size=shape)
         # each solve with the factor sweeps two triangles
@@ -412,15 +417,16 @@ class TestMomentumSystems:
         sweep = solver_module.dtbsv
         monkeypatch.setattr(solver_module, "dtbsv",
                             lambda *a, **kw: sweeps.append(1) or sweep(*a, **kw))
-        with pytest.raises(NumericalError, match="u solve did not reach tolerance"):
-            solve_system(solver, system, old, forcing, "u")
+        with pytest.raises(NumericalError, match="u-momentum solve did not reach tolerance"):
+            solve_system(solver._u, system, old, forcing)
         solves = len(sweeps) / 2
         assert 1 < solves <= solver_module.MAX_SWEEPS + 1
         # a refinement still contracting when the cap is reached raises too
         monkeypatch.setattr(solver_module, "MAX_SWEEPS", 1)
         converging, shape = random_values(solver, "u", rng)
-        with pytest.raises(NumericalError, match="u refinement did not converge in 1 sweeps"):
-            solve_system(solver, converging, old, forcing, "u")
+        with pytest.raises(NumericalError,
+                           match="u-momentum refinement did not converge in 1 sweeps"):
+            solve_system(solver._u, converging, old, forcing)
 
     def test_low_viscosity_run_stops_on_cfl_not_in_refinement(self):
         # near rest at viscosity 1e-5 the sweeps contract by up to about half
@@ -439,15 +445,15 @@ class TestMomentumSystems:
         assert frozen[-1] > frozen[0] > 0
         labels = []
 
-        def direct(self, coeffs, factor, old, forcing, label, order):
+        def direct(self, coeffs, old, forcing):
             # SuperLU with its default COLAMD ordering on the full
             # nonsymmetric matrix, no refinement
-            labels.append(label)
-            matrix = reference_matrix(coeffs, old.shape, self.cfg.dt)
-            rhs = (2.0 / self.cfg.dt) * old.ravel() - matrix @ old.ravel() + forcing.ravel()
+            labels.append(self.label)
+            matrix = reference_matrix(coeffs, old.shape, cfg.dt)
+            rhs = (2.0 / cfg.dt) * old.ravel() - matrix @ old.ravel() + forcing.ravel()
             return spla.spsolve(matrix, rhs).reshape(old.shape)
 
-        monkeypatch.setattr(CavitySolver, "_solve_component", direct)
+        monkeypatch.setattr(solver_module._Momentum, "solve", direct)
         reordered = run_case(cfg)
         assert labels == ["u-momentum", "v-momentum"] * cfg.n_steps
         moved = False
@@ -548,19 +554,21 @@ class TestKeptFactor:
         assert columns == [n_u - (c0 - 1) * g.ny, n_v - (c0 - 1) * (g.ny - 1)]
         fresh = CavitySolver(solver.cfg)
         fresh.tentative_velocity(moved)
-        for label in ("u-momentum", "v-momentum"):
-            kept, factor = solver._factors[label].lower, fresh._factors[label].lower
-            assert np.max(np.abs(kept - factor)) <= 1e-15 * np.max(np.abs(factor)), label
+        for component in "uv":
+            kept, factor = momentum(solver, component).lower, momentum(fresh, component).lower
+            assert np.max(np.abs(kept - factor)) <= 1e-15 * np.max(np.abs(factor)), component
 
     def test_change_within_the_last_column_factors_its_tail(self, monkeypatch):
         # the block B then has fewer than kd rows
         solver, _, rng, columns = self.factored(monkeypatch)
         (_, viscous), shape = random_values(solver, "u", rng)
-        solver._viscous_factor(None, viscous, "u", "F")
+        solver._u.factor(None, viscous)
         viscous = viscous.copy()
         viscous[0, 3:, -1] *= 2.0
-        kept = solver._viscous_factor(None, viscous, "u", "F").lower
-        factor = CavitySolver(solver.cfg)._viscous_factor(None, viscous, "u", "F").lower
+        solver._u.factor(None, viscous)
+        fresh = CavitySolver(solver.cfg)._u
+        fresh.factor(None, viscous)
+        kept, factor = solver._u.lower, fresh.lower
         rows, n = shape[0], shape[0] * shape[1]
         assert columns == [n, rows - 3, n]
         assert np.max(np.abs(kept - factor)) <= 1e-15 * np.max(np.abs(factor))
@@ -568,70 +576,67 @@ class TestKeptFactor:
     def test_upper_copy_is_the_band_transpose(self, monkeypatch):
         solver, state, rng, columns = self.factored(monkeypatch)
 
-        def check(label):
-            factor = solver._factors[label]
-            assert factor.lower.flags.f_contiguous and factor.upper.flags.f_contiguous
-            np.testing.assert_array_equal(factor.upper, band_transpose(factor.lower))
+        def check(component):
+            system = momentum(solver, component)
+            assert system.lower.flags.f_contiguous and system.upper.flags.f_contiguous
+            np.testing.assert_array_equal(system.upper, band_transpose(system.lower))
 
         # a full factor of each component
-        for label in ("u-momentum", "v-momentum"):
-            check(label)
+        for component in "uv":
+            check(component)
         # a trailing refactor
         temp = state.temp.copy()
         temp[:, 7:] = rng.uniform(600.0, 650.0, (self.grid.ny, self.grid.nx - 7))
         solver.tentative_velocity(dataclasses.replace(state, temp=temp))
-        for label in ("u-momentum", "v-momentum"):
-            check(label)
+        for component in "uv":
+            check(component)
         # a refactor of the last rows only, whose block B is short
-        viscous = solver._factors["u-momentum"].viscous.copy()
+        viscous = solver._u.viscous.copy()
         viscous[0, 3:, -1] *= 2.0
-        solver._viscous_factor(None, viscous, "u-momentum", "F")
+        solver._u.factor(None, viscous)
         rows = self.grid.ny
         assert columns[-1] == rows - 3
-        check("u-momentum")
+        check("u")
 
     @pytest.mark.parametrize(("column", "row"), [(5, 2), (-1, 3)])
     def test_view_update_matches_index_arrays(self, monkeypatch, column, row):
         # from column 5 B has kd rows; from row 3 of the last column, kd - 3
         solver, _, rng, _ = self.factored(monkeypatch)
         (_, viscous), shape = random_values(solver, "u", rng)
-        before = solver._viscous_factor(None, viscous, "u", "F").lower.copy()
+        system = solver._u
+        system.factor(None, viscous)
+        before = system.lower.copy()
         viscous = viscous.copy()
         viscous[0, row:, column] *= 2.0
-        factor = solver._viscous_factor(None, viscous, "u", "F")
+        system.factor(None, viscous)
         kd = shape[0]
         j0 = (column % shape[1]) * kd + row
         assert j0 >= kd
-        reference = index_array_refactor(before, factor.diagonals, j0)
-        np.testing.assert_array_equal(factor.lower, reference)
+        reference = index_array_refactor(before, system.diagonals, j0)
+        np.testing.assert_array_equal(system.lower, reference)
 
-    def test_first_column_change_or_new_shape_refactors_everything(self, monkeypatch):
+    def test_first_column_change_refactors_everything(self, monkeypatch):
         solver, state, rng, columns = self.factored(monkeypatch)
         g = self.grid
         temp = state.temp.copy()
         temp[:, 0] = rng.uniform(600.0, 650.0, g.ny)
         solver.tentative_velocity(dataclasses.replace(state, temp=temp))
         assert columns == [g.ny * (g.nx - 1), (g.ny - 1) * g.nx]
-        columns.clear()
-        other = CavitySolver(small_config(grid=StaggeredGrid2D(8, 6)))
-        system, shape = random_values(other, "u", rng)
-        solve_system(solver, system, np.zeros(shape), np.ones(shape), "u-momentum", "F")
-        assert columns == [shape[0] * shape[1]]
 
     def test_indefinite_trailing_update_raises(self, monkeypatch):
         solver, _, rng, columns = self.factored(monkeypatch)
         (coeffs, viscous), shape = random_values(solver, "u", rng)
         old, forcing = np.zeros(shape), np.ones(shape)
-        solve_system(solver, (coeffs, viscous), old, forcing, "u", "F")
+        solve_system(solver._u, (coeffs, viscous), old, forcing)
         # a negative diagonal in the last x-column of faces, below its
         # first rows: only the rows from there on are factored
         indefinite = viscous.copy()
         indefinite[0, 3, -1] = -2.0 / solver.cfg.dt
         rows, n = shape[0], shape[0] * shape[1]
-        with pytest.raises(NumericalError, match="u factorization failed"):
-            solve_system(solver, (coeffs, indefinite), old, forcing, "u", "F")
+        with pytest.raises(NumericalError, match="u-momentum factorization failed"):
+            solve_system(solver._u, (coeffs, indefinite), old, forcing)
         # a failed factor is not kept: the next solve factors every column
-        solve_system(solver, (coeffs, viscous), old, forcing, "u", "F")
+        solve_system(solver._u, (coeffs, viscous), old, forcing)
         assert columns == [n, rows - 3, n]
 
     @pytest.mark.parametrize("make", [default_mushy_config, default_pure_metal_config])
@@ -645,7 +650,8 @@ class TestKeptFactor:
 
         def from_scratch(self, state):
             # a solver without kept factors refactors every column
-            self._factors.clear()
+            self._u.clear()
+            self._v.clear()
             return predict(self, state)
 
         monkeypatch.setattr(CavitySolver, "tentative_velocity", from_scratch)
@@ -656,6 +662,17 @@ class TestKeptFactor:
             a, b = kept.field(name), fresh.field(name)
             rel = np.linalg.norm(a - b, axis=0) / np.linalg.norm(b, axis=0)
             assert np.all(rel <= 1e-12), (name, rel.max())
+
+    @pytest.mark.parametrize("make", [default_mushy_config, default_pure_metal_config])
+    def test_reused_solver_reruns_bit_for_bit(self, make):
+        # run() marches from initial_state; the systems kept at the end of
+        # one run must not carry into the next
+        cfg = make(grid=StaggeredGrid2D(16, 16), n_steps=40, snap_every=2)
+        solver = CavitySolver(cfg)
+        runs = [solver.run(), solver.run()]
+        fresh = run_case(cfg)
+        for m in runs:
+            assert np.array_equal(m.data, fresh.data)
 
 
 def manufactured_viscosity(a, b, component):
@@ -694,9 +711,8 @@ def manufactured_momentum_error(n, component, power):
     laplacian = -(pi**2) * w + w_bb
     forcing = -(mu_a * w_a + mu_b * w_b + mu * laplacian)
     mu_cells = manufactured_viscosity(*np.meshgrid(centres, centres), component)[0]
-    out = solver._component(
-        w, np.zeros_like(w), np.zeros((n + 1, n)), np.zeros((n, n)), mu_cells,
-        forcing[:, 1:-1], h, h, component,
+    out = momentum(solver, component).tentative(
+        w, np.zeros_like(w), np.zeros((n + 1, n)), np.zeros((n, n)), mu_cells, forcing[:, 1:-1]
     )
     return np.max(np.abs(out - w))
 
