@@ -151,24 +151,20 @@ class _Momentum:
     (:meth:`viscous_part`), which is symmetric positive definite and
     depends on the viscosity alone, and the convective remainder C. Kept
     are the viscosity ``mu``, its viscous fields ``viscous``, S's band
-    diagonals ``diagonals`` (:func:`_band_diagonals`), S's lower band
-    Cholesky factor ``lower`` and that factor's transpose ``upper`` in
-    LAPACK upper band storage, ``upper[kd - d, j] = lower[d, j - d]``. The
-    viscosity moves only where the melt is below freezing, a slab against
-    the cooled right wall, so all of it is reused while the viscosity has
-    not moved and the factor is refactored from the first column whose
-    diagonals moved (:meth:`factor`). The factor lives in a flat buffer,
-    allocated once behind ``kd * kd`` leading zeros.
+    diagonals ``diagonals`` (:func:`_band_diagonals`) and the transpose
+    of S's Cholesky factor L in LAPACK upper band storage, ``upper[kd - d,
+    j] = L[j, j - d]``, allocated once with ``kd`` zero columns past the
+    last. The viscosity moves only where the melt is below freezing, a
+    slab against the cooled right wall, so all of it is reused while the
+    viscosity has not moved and the factor is refactored from the first
+    column whose diagonals moved (:meth:`factor`).
     """
 
     def __init__(self, label, shape, d_own, d_other, shift, ghost, order):
         self.label, self.d_own, self.d_other = label, d_own, d_other
         self.shift, self.ghost, self.order = shift, ghost, order
         self.kd = kd = shape[0] if order == "F" else shape[1]
-        n = shape[0] * shape[1]
-        self._buffer = np.zeros(kd * kd + (kd + 1) * n)
-        self.lower = self._buffer[kd * kd:].reshape((kd + 1, n), order="F")
-        self.upper = np.empty((kd + 1, n), order="F")
+        self.upper = np.zeros((kd + 1, shape[0] * shape[1] + kd), order="F")
         self.clear()
 
     def clear(self):
@@ -215,50 +211,59 @@ class _Momentum:
 
     def factor(self, mu, viscous):
         """Keep the viscosity ``mu``, its viscous fields ``viscous`` and the
-        band diagonals of S, and bring ``lower`` and ``upper`` up to date.
+        band diagonals of S, and bring ``upper`` up to date.
 
         A Cholesky factor's leading columns depend only on the matrix's
         leading columns, so the kept factor's columns before the first
-        one, ``j0``, whose diagonals changed are kept. Their coupling to
-        the rest, the upper-triangular block ``B = L[j0:j0+kd, j0-kd:j0]``,
-        is removed by subtracting ``B B^T`` from the leading corner of the
-        new trailing band, which ``dpbtrf`` then factors alone. A first
-        change before column ``kd`` refactors from ``j0 = 0``, and so does
-        a cleared system, whose diagonals differ everywhere; a factor that
-        fails clears the system.
+        one, ``j0``, whose diagonals changed are kept; a cleared system's
+        diagonals differ everywhere. L's columns from ``j0 - kd`` on are
+        built in a zeroed lower band workspace: its ``kd`` context columns,
+        zero before column 0, hold ``B = L[j0:j0+kd, j0-kd:j0]``, and
+        ``B B^T`` is subtracted from the leading corner of the new trailing
+        band, which ``dpbtrf`` then factors alone. A factor that fails
+        clears the system. ``dpbtrf(lower=0)`` on upper storage gives the
+        same factor 4.4 to 8.9 times slower on OpenBLAS (kd 31 to 64).
 
-        The leading zeros of the buffer make B, the corner and the upper
-        copy all strided views of it, with no index arrays: ``B[r, c]`` and
-        the corner's ``(r, c)`` lie at stride 1 along r and kd along c, and
-        ``upper[q, j]`` at ``j (kd + 1) + q kd``. The upper copy is refreshed
-        from column ``j0`` on by one strided copy; copying it diagonal by
-        diagonal, ``kd + 1`` slices, took as long as the column sweeps save.
+        Every move is a strided view, with no index arrays. Past the first
+        ``kd`` entries of either storage, the entry at ``c (kd + 1) + d kd``
+        is the other storage's ``(d, c)``: L's band is read from ``upper``
+        (from its zero columns past the last where ``c + d >= n``) and
+        written back from the workspace. ``B[r, c]`` and the corner's
+        ``(r, c)`` lie at stride 1 along r and kd along c.
         """
         diagonals = _band_diagonals(viscous, self.shift, self.ghost, self.order)
-        kd, buffer, lower = self.kd, self._buffer, self.lower
-        n = lower.shape[1]
+        kd, upper = self.kd, self.upper
+        n = upper.shape[1] - kd
         # a cleared system's None differs from every diagonal
         changed = np.flatnonzero(np.any(diagonals != self.diagonals, axis=0))
         j0 = changed[0] if changed.size else n
-        j0 = j0 if j0 >= kd else 0
         self.mu, self.viscous, self.diagonals = mu, viscous, diagonals
         if j0 == n:
             return
-        # the trailing columns, in place; Fortran order keeps them contiguous
-        band = lower[:, j0:]
-        band[:] = 0.0
+
+        def transposed(flat, columns):
+            step = flat.itemsize
+            return as_strided(flat[kd:], shape=(kd + 1, columns),
+                              strides=(kd * step, (kd + 1) * step), writeable=False)
+
+        lower = np.zeros((kd + 1, n - j0 + kd), order="F")
+        # the context columns from column 0 on
+        c0 = max(j0 - kd, 0)
+        lower[:, kd - j0 + c0:kd] = transposed(upper.reshape(-1, order="F")[c0 * (kd + 1):],
+                                               j0 - c0)
+        # the trailing columns; Fortran order keeps them contiguous
+        band = lower[:, kd:]
         band[0], band[1], band[kd] = diagonals.reshape(3, n)[:, j0:]
-        start = kd * kd + j0 * (kd + 1)
-        if j0:
-            # B's rows stop at the last column
-            k = min(kd, n - j0)
-            # B through a view of its transpose; triu drops the entries
-            # below B's triangle, which belong to other factor columns
-            block = np.triu(buffer[start - kd * kd:start].reshape(kd, kd)[:, :k].T)
-            update = block @ block.T
-            corner = buffer[start:start + k * kd].reshape(k, kd)[:, :k]
-            # the view's entries below its diagonal alias other band entries
-            corner -= np.triu(update.T)
+        work, start = lower.reshape(-1, order="F"), kd * (kd + 1)
+        # B's rows stop at the last column
+        k = min(kd, n - j0)
+        # B through a view of its transpose; triu drops the entries
+        # below B's triangle, which belong to other factor columns
+        block = np.triu(work[kd:start].reshape(kd, kd)[:, :k].T)
+        update = block @ block.T
+        corner = work[start:start + k * kd].reshape(k, kd)[:, :k]
+        # the view's entries below its diagonal alias other band entries
+        corner -= np.triu(update.T)
         trailing, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             self.clear()
@@ -268,24 +273,23 @@ class _Momentum:
             )
         # a no-op when dpbtrf factored in place, as it does for this band
         band[...] = trailing
-        step = buffer.itemsize
-        self.upper[:, j0:] = as_strided(buffer[start - kd * kd:], shape=(kd + 1, n - j0),
-                                        strides=(kd * step, (kd + 1) * step), writeable=False)
+        upper[:, j0:n] = transposed(work, n - j0)
 
     def solve(self, coeffs, old, forcing):
         """Solve ``A w = (I/dt - L) old + forcing`` for the stencil ``coeffs``
         of L (:meth:`stencil`), with the kept factor of S.
 
-        Each solve with S sweeps both triangles column by column, the axpy
-        form of ``dtbsv`` without transpose: L forward, then ``L^T``
-        backward from its upper band copy; the dot form, which ``dpbtrs``
-        uses for ``L^T``, runs 1.5 times slower on OpenBLAS at kd = 64 and
-        2.8 times at kd = 63. C is removed by iterative refinement
-        ``w <- w + S^-1 (rhs - A w)`` (Concus & Golub 1976; Widlund 1978),
-        with A applied as the stencil. The error contracts by
-        ``||S^-1/2 C S^-1/2||_2`` per sweep, so the sweeps converge iff that
-        norm is below 1; it is at most ``dt ||C||``, about half the CFL
-        number of the convecting velocity.
+        Each solve with S sweeps the one kept array ``upper`` twice: L
+        forward in the dot form of ``dtbsv`` with transpose, then ``L^T``
+        backward in its axpy form, so the second sweep starts on the
+        columns the first left in cache. The dot form from lower storage,
+        which ``dpbtrs`` uses for ``L^T``, runs 1.5 times slower on
+        OpenBLAS at kd = 64 and 2.8 times at kd = 63. C is removed by
+        iterative refinement ``w <- w + S^-1 (rhs - A w)`` (Concus & Golub
+        1976; Widlund 1978), with A applied as the stencil. The error
+        contracts by ``||S^-1/2 C S^-1/2||_2`` per sweep, so the sweeps
+        converge iff that norm is below 1; it is at most ``dt ||C||``,
+        about half the CFL number of the convecting velocity.
 
         The sweeps stop at the round-off floor, measured on the Jacobi-
         scaled residual ``D^-1 (rhs - A w)``, which estimates the error of
@@ -298,10 +302,11 @@ class _Momentum:
         near rest it falls unevenly and stopped low-viscosity solves early.
         """
         shift, kd, order = self.shift, self.kd, self.order
+        upper = self.upper[:, :-kd]
 
         def inverse(r):
-            x = dtbsv(kd, self.lower, r.flatten(order), lower=1, overwrite_x=1)
-            x = dtbsv(kd, self.upper, x, overwrite_x=1)
+            x = dtbsv(kd, upper, r.flatten(order), trans=1, overwrite_x=1)
+            x = dtbsv(kd, upper, x, overwrite_x=1)
             # back in r's row-major layout, which the stencil applies read fastest
             return np.ascontiguousarray(x.reshape(r.shape, order=order))
 
@@ -396,11 +401,8 @@ class CavitySolver:
         """
         cfg = self.cfg
         mu = viscosity_of(cfg.viscosity, state.temp)
-        if state.step == 0:
-            ubar, vbar = state.u, state.v
-        else:
-            ubar = 1.5 * state.u - 0.5 * state.u_prev
-            vbar = 1.5 * state.v - 0.5 * state.v_prev
+        ubar = 1.5 * state.u - 0.5 * state.u_prev
+        vbar = 1.5 * state.v - 0.5 * state.v_prev
         t_face = 0.5 * (state.temp[:-1, :] + state.temp[1:, :])
         buoyancy = cfg.buoyancy_coeff * (t_face - cfg.t_ref)
         u_tent = self._u.tentative(state.u, ubar, vbar, state.p_star, mu, 0.0)
