@@ -19,9 +19,9 @@ temperature operators have constant coefficients on this uniform grid,
 so each is a 1D operator along y plus one along x, solved by fast
 diagonalisation in the eigenbases of the two (Lynch, Rice & Thomas
 1964). The momentum operators move with the viscosity and the
-convecting velocity every step. Each component's system, and the
-banded Cholesky factor of its viscous part that it keeps between
-steps, is a :class:`_Momentum`.
+convecting velocity every step. Each component's system is a
+:class:`_Momentum`, and the banded Cholesky factor of its viscous part
+that it keeps between steps is a :class:`_KeptBand`.
 """
 
 from __future__ import annotations
@@ -68,29 +68,6 @@ def _apply(coeffs, shift, w):
     return out.reshape(w.shape)
 
 
-def _band_diagonals(viscous, shift, ghost, order):
-    """The nonzero diagonals of ``shift I + V``, V the viscous part
-    ``viscous`` of :meth:`_Momentum.viscous_part` with the tangential wall
-    ghost ``ghost`` folded in, with the nodes numbered in numpy index
-    ``order`` ('C' row by row, 'F' column by column).
-
-    Returns a ``(3, rows, kd)`` array, ``kd`` the length of a numbered
-    line, that holds at each node the entries of its LAPACK lower band
-    column: the main diagonal, the first subdiagonal and the ``kd``-th.
-    Couplings that would leave the field are zero."""
-    diag, along, _, across, south = viscous
-    diag = diag.copy()
-    diag[0] += ghost * south[0]
-    diag[-1] += ghost * across[-1]
-    if order == "F":
-        diag, along, across = diag.T, across.T, along.T
-    out = np.zeros((3,) + diag.shape)
-    out[0] = shift + diag
-    out[1, :, :-1] = along[:, :-1]
-    out[2, :-1] = across[:-1]
-    return out
-
-
 def _check_residual(sol, residual, rhs, tol, label):
     """Raise :class:`NumericalError` unless the solution ``sol`` is finite
     and ``|residual| <= tol * max(|rhs|, 1)``."""
@@ -135,48 +112,153 @@ class _Separable:
         return sol
 
 
-class _Momentum:
-    """One momentum component's system ``A = I/dt + L`` on its interior
-    faces, which are normal to array axis 1 (v is solved as the u problem
-    on transposed fields), and what the component keeps between steps.
+class _KeptBand:
+    """The kept Cholesky factor ``L L^T`` of a symmetric positive definite
+    five-point operator on a field of ``shape``, named ``label`` in errors,
+    whose nodes are numbered in numpy index ``order`` ('C' row by row, 'F'
+    column by column); a numbered line is the band width ``kd`` long.
 
-    Fixed at construction: the ``label`` that errors name, the interior
-    field ``shape``, the spacings ``d_own`` along the component and
-    ``d_other`` across it, ``shift = 1/dt``, the tangential wall
-    ``ghost`` sign and the numpy index ``order`` in which the factor
-    numbers the nodes ('C' row by row, 'F' column by column), whose line
-    length is the band width ``kd``.
-
-    ``A = S + C`` splits into ``S = I/dt + V``, V the viscous part
-    (:meth:`viscous_part`), which is symmetric positive definite and
-    depends on the viscosity alone, and the convective remainder C. Kept
-    are the viscosity ``mu``, its viscous fields ``viscous``, S's band
-    diagonals ``diagonals`` (:func:`_band_diagonals`) and the transpose
-    of S's Cholesky factor L in LAPACK upper band storage, ``upper[kd - d,
-    j] = L[j, j - d]``, allocated once with ``kd`` zero columns past the
-    last. The viscosity moves only where the melt is below freezing, a
-    slab against the cooled right wall, so all of it is reused while the
-    viscosity has not moved and the factor is refactored from the first
-    column whose diagonals moved (:meth:`factor`).
+    Kept are the band ``diagonals``, flat ``(3, n)``: each node's LAPACK
+    lower band column, its main diagonal, first subdiagonal and ``kd``-th,
+    zero where a coupling would leave the field; and L's transpose in upper
+    band storage, ``upper[kd - d, j] = L[j, j - d]``, allocated once with
+    ``kd`` zero columns past the last.
     """
 
-    def __init__(self, label, shape, d_own, d_other, shift, ghost, order):
-        self.label, self.d_own, self.d_other = label, d_own, d_other
-        self.shift, self.ghost, self.order = shift, ghost, order
+    def __init__(self, shape, order, label):
+        self.order, self.label = order, label
         self.kd = kd = shape[0] if order == "F" else shape[1]
         self.upper = np.zeros((kd + 1, shape[0] * shape[1] + kd), order="F")
         self.clear()
 
     def clear(self):
+        """Forget the factor; the next refresh factors every column."""
+        self.diagonals = None
+
+    def refresh(self, coeffs, shift):
+        """Keep the band diagonals of ``shift I + A``, A the symmetric five-point
+        ``coeffs`` (as :meth:`_Momentum.stencil`), and bring ``upper`` up to date.
+
+        A Cholesky factor's leading columns depend only on the matrix's
+        leading columns, so the kept factor's columns before the first
+        one, ``j0``, whose diagonals changed are kept; a cleared factor's
+        diagonals differ everywhere. L's columns from ``j0 - kd`` on are
+        built in a zeroed lower band workspace: its ``kd`` context columns,
+        zero before column 0, hold ``B = L[j0:j0+kd, j0-kd:j0]``, and
+        ``B B^T`` is subtracted from the leading corner of the new trailing
+        band, which ``dpbtrf`` then factors alone. A factor that fails
+        is cleared. ``dpbtrf(lower=0)`` on upper storage gives the same
+        factor 4.4 to 8.9 times slower on OpenBLAS (kd 31 to 64).
+
+        Every move is a strided view, with no index arrays. Past the first
+        ``kd`` entries of either storage, the entry at ``c (kd + 1) + d kd``
+        is the other storage's ``(d, c)``: L's band is read from ``upper``
+        (from its zero columns past the last where ``c + d >= n``) and
+        written back from the workspace. ``B[r, c]`` and the corner's
+        ``(r, c)`` lie at stride 1 along r and kd along c.
+        """
+        # the couplings along a numbered line and across to the next one
+        diag, along, _, across, _ = coeffs
+        if self.order == "F":
+            diag, along, across = diag.T, across.T, along.T
+        diagonals = np.zeros((3,) + diag.shape)
+        diagonals[0] = shift + diag
+        diagonals[1, :, :-1] = along[:, :-1]
+        diagonals[2, :-1] = across[:-1]
+        diagonals = diagonals.reshape(3, -1)
+        kd, upper, n = self.kd, self.upper, diagonals.shape[1]
+        # a cleared factor's None differs from every diagonal
+        changed = np.flatnonzero(np.any(diagonals != self.diagonals, axis=0))
+        j0 = changed[0] if changed.size else n
+        self.diagonals = diagonals
+        if j0 == n:
+            return
+
+        def transposed(flat, columns):
+            step = flat.itemsize
+            return as_strided(flat[kd:], shape=(kd + 1, columns),
+                              strides=(kd * step, (kd + 1) * step), writeable=False)
+
+        lower = np.zeros((kd + 1, n - j0 + kd), order="F")
+        # the context columns from column 0 on
+        c0 = max(j0 - kd, 0)
+        lower[:, kd - j0 + c0:kd] = transposed(upper.reshape(-1, order="F")[c0 * (kd + 1):],
+                                               j0 - c0)
+        # the trailing columns; Fortran order keeps them contiguous
+        band = lower[:, kd:]
+        band[0], band[1], band[kd] = diagonals[:, j0:]
+        work, start = lower.reshape(-1, order="F"), kd * (kd + 1)
+        # B's rows stop at the last column
+        k = min(kd, n - j0)
+        # B through a view of its transpose; triu drops the entries
+        # below B's triangle, which belong to other factor columns
+        block = np.triu(work[kd:start].reshape(kd, kd)[:, :k].T)
+        update = block @ block.T
+        corner = work[start:start + k * kd].reshape(k, kd)[:, :k]
+        # the view's entries below its diagonal alias other band entries
+        corner -= np.triu(update.T)
+        trailing, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:
+            self.clear()
+            raise NumericalError(
+                f"{self.label} factorization failed: viscous part not positive definite "
+                f"(dpbtrf info {info} from column {j0})"
+            )
+        # a no-op when dpbtrf factored in place, as it does for this band
+        band[...] = trailing
+        upper[:, j0:n] = transposed(work, n - j0)
+
+    def solve(self, r):
+        """``(shift I + A)^-1 r`` for a field ``r``, by two sweeps of
+        ``upper``: L forward in the dot form of ``dtbsv`` with transpose,
+        then ``L^T`` backward in its axpy form, which starts on the columns
+        the first sweep left in cache. The dot form from lower storage, which
+        ``dpbtrs`` uses for ``L^T``, runs 1.5 times slower on OpenBLAS at
+        kd = 64 and 2.8 times at kd = 63."""
+        kd, order = self.kd, self.order
+        upper = self.upper[:, :-kd]
+        x = dtbsv(kd, upper, r.flatten(order), trans=1, overwrite_x=1)
+        x = dtbsv(kd, upper, x, overwrite_x=1)
+        # back in r's row-major layout, which the stencil applies read fastest
+        return np.ascontiguousarray(x.reshape(r.shape, order=order))
+
+
+class _Momentum:
+    """One momentum component's system ``A = I/dt + L`` on its interior
+    faces, which are normal to array axis 1 (v is solved as the u problem
+    on transposed fields), and what the component keeps between steps.
+
+    Fixed at construction: the ``label`` that errors name, the spacings
+    ``d_own`` along the component and ``d_other`` across it, ``shift =
+    1/dt``, the tangential wall ``ghost`` sign, and ``band``, the
+    :class:`_KeptBand` of the interior field ``shape`` with its nodes
+    numbered in numpy index ``order``.
+
+    ``A = S + C`` splits into ``S = I/dt + V``, V the viscous part
+    (:meth:`viscous_part`), which is symmetric positive definite and
+    depends on the viscosity alone, and the convective remainder C. Kept
+    are the viscosity ``mu`` and its viscous fields ``viscous``. The
+    viscosity moves only where the melt is below freezing, a slab against
+    the cooled right wall, so both and S's factor are reused while it has
+    not moved, and the factor is refreshed from its first moved column.
+    """
+
+    def __init__(self, label, shape, d_own, d_other, shift, ghost, order):
+        self.label, self.d_own, self.d_other = label, d_own, d_other
+        self.shift, self.ghost = shift, ghost
+        self.band = _KeptBand(shape, order, label)
+        self.clear()
+
+    def clear(self):
         """Forget the kept system; the next solve factors every column."""
-        self.mu = self.viscous = self.diagonals = None
+        self.mu = self.viscous = None
+        self.band.clear()
 
     def viscous_part(self, mu):
         """The viscous part V = -diff / 2 of L as diagonal, east, west,
         north and south fields; a coupling that would leave the field is
         never read, and the tangential wall ghost is left to
-        :meth:`stencil` and :func:`_band_diagonals`. V depends on the
-        viscosity ``mu`` alone."""
+        :meth:`stencil`. V depends on the viscosity ``mu`` alone."""
         # mu edge-padded by one row above and below
         pad = np.concatenate((mu[:1], mu, mu[-1:]))
         corner = 0.25 * (pad[:-1, :-1] + pad[:-1, 1:] + pad[1:, :-1] + pad[1:, 1:])
@@ -209,83 +291,11 @@ class _Momentum:
         west[:, 0] = 0.0
         return coeffs
 
-    def factor(self, mu, viscous):
-        """Keep the viscosity ``mu``, its viscous fields ``viscous`` and the
-        band diagonals of S, and bring ``upper`` up to date.
-
-        A Cholesky factor's leading columns depend only on the matrix's
-        leading columns, so the kept factor's columns before the first
-        one, ``j0``, whose diagonals changed are kept; a cleared system's
-        diagonals differ everywhere. L's columns from ``j0 - kd`` on are
-        built in a zeroed lower band workspace: its ``kd`` context columns,
-        zero before column 0, hold ``B = L[j0:j0+kd, j0-kd:j0]``, and
-        ``B B^T`` is subtracted from the leading corner of the new trailing
-        band, which ``dpbtrf`` then factors alone. A factor that fails
-        clears the system. ``dpbtrf(lower=0)`` on upper storage gives the
-        same factor 4.4 to 8.9 times slower on OpenBLAS (kd 31 to 64).
-
-        Every move is a strided view, with no index arrays. Past the first
-        ``kd`` entries of either storage, the entry at ``c (kd + 1) + d kd``
-        is the other storage's ``(d, c)``: L's band is read from ``upper``
-        (from its zero columns past the last where ``c + d >= n``) and
-        written back from the workspace. ``B[r, c]`` and the corner's
-        ``(r, c)`` lie at stride 1 along r and kd along c.
-        """
-        diagonals = _band_diagonals(viscous, self.shift, self.ghost, self.order)
-        kd, upper = self.kd, self.upper
-        n = upper.shape[1] - kd
-        # a cleared system's None differs from every diagonal
-        changed = np.flatnonzero(np.any(diagonals != self.diagonals, axis=0))
-        j0 = changed[0] if changed.size else n
-        self.mu, self.viscous, self.diagonals = mu, viscous, diagonals
-        if j0 == n:
-            return
-
-        def transposed(flat, columns):
-            step = flat.itemsize
-            return as_strided(flat[kd:], shape=(kd + 1, columns),
-                              strides=(kd * step, (kd + 1) * step), writeable=False)
-
-        lower = np.zeros((kd + 1, n - j0 + kd), order="F")
-        # the context columns from column 0 on
-        c0 = max(j0 - kd, 0)
-        lower[:, kd - j0 + c0:kd] = transposed(upper.reshape(-1, order="F")[c0 * (kd + 1):],
-                                               j0 - c0)
-        # the trailing columns; Fortran order keeps them contiguous
-        band = lower[:, kd:]
-        band[0], band[1], band[kd] = diagonals.reshape(3, n)[:, j0:]
-        work, start = lower.reshape(-1, order="F"), kd * (kd + 1)
-        # B's rows stop at the last column
-        k = min(kd, n - j0)
-        # B through a view of its transpose; triu drops the entries
-        # below B's triangle, which belong to other factor columns
-        block = np.triu(work[kd:start].reshape(kd, kd)[:, :k].T)
-        update = block @ block.T
-        corner = work[start:start + k * kd].reshape(k, kd)[:, :k]
-        # the view's entries below its diagonal alias other band entries
-        corner -= np.triu(update.T)
-        trailing, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info != 0:
-            self.clear()
-            raise NumericalError(
-                f"{self.label} factorization failed: viscous part not positive definite "
-                f"(dpbtrf info {info} from column {j0})"
-            )
-        # a no-op when dpbtrf factored in place, as it does for this band
-        band[...] = trailing
-        upper[:, j0:n] = transposed(work, n - j0)
-
     def solve(self, coeffs, old, forcing):
         """Solve ``A w = (I/dt - L) old + forcing`` for the stencil ``coeffs``
-        of L (:meth:`stencil`), with the kept factor of S.
+        of L (:meth:`stencil`), with S's kept factor ``band``.
 
-        Each solve with S sweeps the one kept array ``upper`` twice: L
-        forward in the dot form of ``dtbsv`` with transpose, then ``L^T``
-        backward in its axpy form, so the second sweep starts on the
-        columns the first left in cache. The dot form from lower storage,
-        which ``dpbtrs`` uses for ``L^T``, runs 1.5 times slower on
-        OpenBLAS at kd = 64 and 2.8 times at kd = 63. C is removed by
-        iterative refinement ``w <- w + S^-1 (rhs - A w)`` (Concus & Golub
+        C is removed by iterative refinement ``w <- w + S^-1 (rhs - A w)`` (Concus & Golub
         1976; Widlund 1978), with A applied as the stencil. The error
         contracts by ``||S^-1/2 C S^-1/2||_2`` per sweep, so the sweeps
         converge iff that norm is below 1; it is at most ``dt ||C||``,
@@ -301,15 +311,7 @@ class _Momentum:
         ``dgerfs``'s componentwise backward error is not used: on rows
         near rest it falls unevenly and stopped low-viscosity solves early.
         """
-        shift, kd, order = self.shift, self.kd, self.order
-        upper = self.upper[:, :-kd]
-
-        def inverse(r):
-            x = dtbsv(kd, upper, r.flatten(order), trans=1, overwrite_x=1)
-            x = dtbsv(kd, upper, x, overwrite_x=1)
-            # back in r's row-major layout, which the stencil applies read fastest
-            return np.ascontiguousarray(x.reshape(r.shape, order=order))
-
+        shift, inverse = self.shift, self.band.solve
         rhs = (2.0 * shift) * old - _apply(coeffs, shift, old) + forcing
         inverse_diagonal = 1.0 / (shift + coeffs[0])
         sol = inverse(rhs)
@@ -337,7 +339,10 @@ class _Momentum:
         ob = 0.25 * (obar[:-1, :-1] + obar[:-1, 1:] + obar[1:, :-1] + obar[1:, 1:])
         grad = (p[:, 1:] - p[:, :-1]) / self.d_own
         if not np.array_equal(self.mu, mu):
-            self.factor(mu, self.viscous_part(mu))
+            viscous = self.viscous_part(mu)
+            self.band.refresh(self.stencil(0.0, 0.0, viscous), self.shift)
+            # kept only once S is factored, so a failed refresh is retried
+            self.mu, self.viscous = mu, viscous
         coeffs = self.stencil(wbar[:, 1:-1], ob, self.viscous)
         out = w.copy()
         out[:, 1:-1] = self.solve(coeffs, w[:, 1:-1], forcing - grad)

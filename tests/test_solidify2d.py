@@ -134,9 +134,9 @@ def random_values(solver, component, rng):
 
 def solve_system(system, values, old, forcing):
     """``system.solve`` of the ``(coeffs, viscous)`` pair ``values``, its
-    viscous part factored and kept by ``system`` first."""
+    viscous part factored and kept by ``system.band`` first."""
     coeffs, viscous = values
-    system.factor(None, viscous)
+    system.band.refresh(system.stencil(0.0, 0.0, viscous), system.shift)
     return system.solve(coeffs, old, forcing)
 
 
@@ -175,13 +175,12 @@ def reference_matrix(coeffs, shape, dt):
     return reference_operator(coeffs, shape) + sp.identity(n, format="csc") / dt
 
 
-def diagonals_to_dense(diagonals):
+def diagonals_to_dense(diagonals, kd):
     """The symmetric matrix whose nonzero lower band diagonals, main, first
-    and kd-th, are the ``(3, rows, kd)`` array ``diagonals``."""
-    _, rows, kd = diagonals.shape
-    n = rows * kd
+    and kd-th, are the flat ``(3, n)`` array ``diagonals``."""
+    n = diagonals.shape[1]
     dense = np.zeros((n, n))
-    for d, values in zip((0, 1, kd), diagonals.reshape(3, n), strict=True):
+    for d, values in zip((0, 1, kd), diagonals, strict=True):
         j = np.arange(n - d)
         dense[j + d, j] = dense[j, j + d] = values[: n - d]
     return dense
@@ -314,7 +313,7 @@ class TestMomentumSystems:
         # previous level is zero, so they are 1.5 times the current ones
         ubar, vbar = 1.5 * state.u - 0.5 * state.u_prev, 1.5 * state.v - 0.5 * state.v_prev
         for component, (coeffs, system) in zip("uv", calls, strict=True):
-            assert (system.label, system.order) == (f"{component}-momentum", ORDER[component])
+            assert (system.label, system.band.order) == (f"{component}-momentum", ORDER[component])
             dense = dense_momentum(cfg, ubar, vbar, mu, component)
             scale = np.max(np.abs(dense))
             # the stencil apply, column by column from unit fields
@@ -324,12 +323,12 @@ class TestMomentumSystems:
                 solver_module._apply(coeffs, 1.0 / cfg.dt, e).ravel() for e in units
             ], axis=1)
             np.testing.assert_allclose(applied, dense, rtol=1e-12, atol=1e-12 * scale)
-            # the factored matrix: I/dt plus the viscous operator alone,
-            # with the faces numbered x-major
+            # the factored matrix: I/dt plus the viscous operator alone, its
+            # wall ghost folded once, by the stencil, and the faces numbered x-major
             zero_u, zero_v = np.zeros(g.u_shape), np.zeros(g.v_shape)
             viscous_dense = x_major(dense_momentum(cfg, zero_u, zero_v, mu, component), g, component)
             np.testing.assert_allclose(
-                diagonals_to_dense(system.diagonals), viscous_dense,
+                diagonals_to_dense(system.band.diagonals, system.band.kd), viscous_dense,
                 rtol=1e-12, atol=1e-12 * np.max(np.abs(viscous_dense)),
             )
 
@@ -504,13 +503,12 @@ def band_of(upper):
     return lower
 
 
-def full_factor(diagonals):
-    """The lower band Cholesky factor of the band ``diagonals``
-    (:func:`_band_diagonals`), every column factored by dpbtrf."""
-    _, rows, kd = diagonals.shape
-    n = rows * kd
+def full_factor(diagonals, kd):
+    """The lower band Cholesky factor of the band ``diagonals`` of a
+    :class:`_KeptBand` of width ``kd``, every column factored by dpbtrf."""
+    n = diagonals.shape[1]
     band = np.zeros((kd + 1, n), order="F")
-    band[0], band[1], band[kd] = diagonals.reshape(3, n)
+    band[0], band[1], band[kd] = diagonals
     factor, info = dpbtrf(band, lower=1)
     assert info == 0
     return factor
@@ -518,15 +516,15 @@ def full_factor(diagonals):
 
 def index_array_refactor(lower, diagonals, j0):
     """The reference for a refactor from column ``j0 >= kd``: the kept factor
-    ``lower`` with its trailing columns replaced by those of ``diagonals``
-    (:func:`_band_diagonals`), less ``B B^T``, ``B = L[j0:j0+kd, j0-kd:j0]``
-    gathered and scattered through index arrays, then factored by dpbtrf."""
-    _, rows, kd = diagonals.shape
-    n = rows * kd
+    ``lower`` with its trailing columns replaced by those of the band
+    ``diagonals`` of a :class:`_KeptBand`, less ``B B^T``, ``B = L[j0:j0+kd,
+    j0-kd:j0]`` gathered and scattered through index arrays, then factored
+    by dpbtrf."""
+    kd, n = lower.shape[0] - 1, diagonals.shape[1]
     factor = np.asfortranarray(lower.copy())
     band = factor[:, j0:]
     band[:] = 0.0
-    band[0], band[1], band[kd] = diagonals.reshape(3, n)[:, j0:]
+    band[0], band[1], band[kd] = diagonals[:, j0:]
     # B's rows stop at the last column
     k = min(kd, n - j0)
     r, c = np.triu_indices(kd)
@@ -542,10 +540,74 @@ def index_array_refactor(lower, diagonals, j0):
     return factor
 
 
+def random_operator(shape, rng):
+    """Symmetric five-point coefficients on a field of ``shape``, stacked as
+    :meth:`_Momentum.stencil` stacks them: random negative couplings, zero
+    where they would leave the field, and a diagonal that dominates them,
+    so the operator is positive definite."""
+    east, north = np.zeros(shape), np.zeros(shape)
+    east[:, :-1] = -rng.uniform(0.5, 1.5, (shape[0], shape[1] - 1))
+    north[:-1] = -rng.uniform(0.5, 1.5, (shape[0] - 1, shape[1]))
+    west, south = np.zeros(shape), np.zeros(shape)
+    west[:, 1:], south[1:] = east[:, :-1], north[:-1]
+    diag = rng.uniform(0.1, 1.0, shape) - (east + west + north + south)
+    return np.stack([diag, east, west, north, south])
+
+
+class TestKeptBand:
+    """The kept factor on its own: a random symmetric positive definite
+    five-point operator, factored in both node orders and refreshed from
+    each kind of first changed column."""
+
+    # nx != ny, so the two orders' band widths differ
+    shape, shift = (9, 6), 2.0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("start", ["first", "first_line", "interior", "short_block", "none"])
+    def test_refresh_matches_a_full_factor(self, monkeypatch, order, start):
+        band = solver_module._KeptBand(self.shape, order, "test")
+        coeffs = random_operator(self.shape, np.random.default_rng(43))
+        columns = count_factored(monkeypatch)
+        band.refresh(coeffs, self.shift)
+        kd, n = band.kd, coeffs[0].size
+        assert columns == [n] and band.upper.flags.f_contiguous
+        # the band is shift I plus the operator, its nodes numbered in order
+        nodes = np.arange(n).reshape(self.shape).ravel(order)
+        dense = (reference_operator(coeffs, self.shape) + self.shift * sp.identity(n)).toarray()
+        np.testing.assert_array_equal(diagonals_to_dense(band.diagonals, kd),
+                                      dense[np.ix_(nodes, nodes)])
+        # a first factor is a full dpbtrf factor bit for bit, zeros included
+        np.testing.assert_array_equal(band.upper, band_transpose(full_factor(band.diagonals, kd)))
+        # within the first numbered line the context columns are zero; past
+        # n - kd the block B has fewer than kd rows; from n nothing moved
+        j0 = {"first": 0, "first_line": 3, "interior": 2 * kd + 1,
+              "short_block": n - 3, "none": n}[start]
+        before = band.upper.copy()
+        moved = coeffs.copy()
+        if j0 < n:
+            # node j0's diagonal, the only band entry that moves
+            moved[0][np.unravel_index(j0, self.shape, order=order)] *= 2.0
+        band.refresh(moved, self.shift)
+        if j0 == n:
+            assert columns == [n]
+            np.testing.assert_array_equal(band.upper, before)
+            return
+        assert columns == [n, n - j0]
+        factor = band_transpose(full_factor(band.diagonals, kd))
+        if j0 == 0:
+            np.testing.assert_array_equal(band.upper, factor)
+            return
+        np.testing.assert_array_equal(band.upper == 0.0, factor == 0.0)
+        assert np.max(np.abs(band.upper - factor)) <= 1e-15 * np.max(np.abs(factor))
+        if j0 >= kd:
+            reference = index_array_refactor(band_of(before), band.diagonals, j0)
+            np.testing.assert_array_equal(band.upper, band_transpose(reference))
+
+
 class TestKeptFactor:
-    """Each component keeps its viscosity, viscous fields and the transpose
-    of its factor of I/dt plus viscosity, and refactors from the first
-    column whose band diagonals moved."""
+    """Each component keeps its viscosity and viscous fields, and refreshes
+    its :class:`_KeptBand` of I/dt plus viscosity only when the viscosity
+    moved."""
 
     # nx != ny, so u's kd = ny and v's kd = ny - 1 differ
     grid = StaggeredGrid2D(12, 10)
@@ -564,123 +626,45 @@ class TestKeptFactor:
         columns.clear()
         return solver, state, rng, columns
 
+    def trailing_move(self, state, rng, c0):
+        """``state`` with new, solid temperatures in the cells from x-column
+        ``c0`` on; the faces of x-column ``c0 - 1`` are the first that touch
+        a moved cell: u's between cells c0 - 1 and c0, v's through their
+        corners."""
+        g = self.grid
+        temp = state.temp.copy()
+        temp[:, c0:] = rng.uniform(600.0, 650.0, (g.ny, g.nx - c0))
+        return dataclasses.replace(state, temp=temp)
+
     def test_unchanged_viscosity_makes_no_factor(self, monkeypatch):
         solver, state, rng, columns = self.factored(monkeypatch)
-        built = []
-        band_diagonals = solver_module._band_diagonals
-        monkeypatch.setattr(solver_module, "_band_diagonals",
-                            lambda *a: built.append(1) or band_diagonals(*a))
+        refreshed = []
+        refresh = solver_module._KeptBand.refresh
+        monkeypatch.setattr(solver_module._KeptBand, "refresh",
+                            lambda self, *a: refreshed.append(1) or refresh(self, *a))
         # the convection moves, the temperature does not
         moved = dataclasses.replace(state, u=rng.normal(size=self.grid.u_shape),
                                     v=rng.normal(size=self.grid.v_shape))
         kept = solver.tentative_velocity(moved)
-        assert columns == [] and built == []
+        assert columns == [] and refreshed == []
         fresh = CavitySolver(solver.cfg).tentative_velocity(moved)
-        assert len(built) == 2
+        assert len(refreshed) == 2
         for a, b in zip(kept, fresh, strict=True):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
 
     def test_trailing_change_factors_only_trailing_columns(self, monkeypatch):
         solver, state, rng, columns = self.factored(monkeypatch)
         g, c0 = self.grid, 7
-        # new, solid temperatures in the cells from x-column c0 on
-        temp = state.temp.copy()
-        temp[:, c0:] = rng.uniform(600.0, 650.0, (g.ny, g.nx - c0))
-        moved = dataclasses.replace(state, temp=temp)
+        moved = self.trailing_move(state, rng, c0)
         solver.tentative_velocity(moved)
-        # the faces of x-column c0 - 1 are the first that touch a moved cell:
-        # u's between cells c0 - 1 and c0, v's through their corners
         n_u, n_v = g.ny * (g.nx - 1), (g.ny - 1) * g.nx
         assert columns == [n_u - (c0 - 1) * g.ny, n_v - (c0 - 1) * (g.ny - 1)]
         fresh = CavitySolver(solver.cfg)
         fresh.tentative_velocity(moved)
         for component in "uv":
-            kept, factor = momentum(solver, component).upper, momentum(fresh, component).upper
+            kept = momentum(solver, component).band.upper
+            factor = momentum(fresh, component).band.upper
             assert np.max(np.abs(kept - factor)) <= 1e-15 * np.max(np.abs(factor)), component
-
-    def test_change_within_the_last_column_factors_its_tail(self, monkeypatch):
-        # the block B then has fewer than kd rows
-        solver, _, rng, columns = self.factored(monkeypatch)
-        (_, viscous), shape = random_values(solver, "u", rng)
-        solver._u.factor(None, viscous)
-        viscous = viscous.copy()
-        viscous[0, 3:, -1] *= 2.0
-        solver._u.factor(None, viscous)
-        fresh = CavitySolver(solver.cfg)._u
-        fresh.factor(None, viscous)
-        kept, factor = solver._u.upper, fresh.upper
-        rows, n = shape[0], shape[0] * shape[1]
-        assert columns == [n, rows - 3, n]
-        assert np.max(np.abs(kept - factor)) <= 1e-15 * np.max(np.abs(factor))
-
-    @pytest.mark.parametrize("component", ["u", "v"])
-    def test_change_before_column_kd_factors_only_its_tail(self, monkeypatch, component):
-        # the context columns before column 0 are zero, so a first change
-        # in (0, kd) refactors from there like any other
-        solver, _, rng, columns = self.factored(monkeypatch)
-        system = momentum(solver, component)
-        (_, viscous), shape = random_values(solver, component, rng)
-        system.factor(None, viscous)
-        viscous = viscous.copy()
-        j0 = 3
-        # node j0 is row j0 of the first x-column: u numbers its field
-        # column by column, v its transposed field row by row
-        viscous[(0, j0, 0) if component == "u" else (0, 0, j0)] *= 2.0
-        system.factor(None, viscous)
-        n = shape[0] * shape[1]
-        assert 0 < j0 < system.kd
-        assert columns == [n, n - j0]
-        factor = band_transpose(full_factor(system.diagonals))
-        assert np.max(np.abs(system.upper - factor)) <= 1e-12 * np.max(np.abs(factor))
-
-    def test_upper_copy_is_the_band_transpose(self, monkeypatch):
-        solver, state, rng, columns = self.factored(monkeypatch)
-
-        def check(component, exact):
-            # the kept upper against the transpose of a factor of every
-            # column, zeros included; a refactor differs at round-off
-            system = momentum(solver, component)
-            assert system.upper.flags.f_contiguous
-            factor = band_transpose(full_factor(system.diagonals))
-            if exact:
-                np.testing.assert_array_equal(system.upper, factor)
-            else:
-                np.testing.assert_array_equal(system.upper == 0.0, factor == 0.0)
-                assert np.max(np.abs(system.upper - factor)) <= 1e-15 * np.max(np.abs(factor))
-
-        # a full factor of each component
-        for component in "uv":
-            check(component, exact=True)
-        # a trailing refactor
-        temp = state.temp.copy()
-        temp[:, 7:] = rng.uniform(600.0, 650.0, (self.grid.ny, self.grid.nx - 7))
-        solver.tentative_velocity(dataclasses.replace(state, temp=temp))
-        for component in "uv":
-            check(component, exact=False)
-        # a refactor of the last rows only, whose block B is short
-        viscous = solver._u.viscous.copy()
-        viscous[0, 3:, -1] *= 2.0
-        solver._u.factor(None, viscous)
-        rows = self.grid.ny
-        assert columns[-1] == rows - 3
-        check("u", exact=False)
-
-    @pytest.mark.parametrize(("column", "row"), [(5, 2), (-1, 3)])
-    def test_view_update_matches_index_arrays(self, monkeypatch, column, row):
-        # from column 5 B has kd rows; from row 3 of the last column, kd - 3
-        solver, _, rng, _ = self.factored(monkeypatch)
-        (_, viscous), shape = random_values(solver, "u", rng)
-        system = solver._u
-        system.factor(None, viscous)
-        before = band_of(system.upper)
-        viscous = viscous.copy()
-        viscous[0, row:, column] *= 2.0
-        system.factor(None, viscous)
-        kd = shape[0]
-        j0 = (column % shape[1]) * kd + row
-        assert j0 >= kd
-        reference = index_array_refactor(before, system.diagonals, j0)
-        np.testing.assert_array_equal(system.upper, band_transpose(reference))
 
     def test_first_column_change_refactors_everything(self, monkeypatch):
         solver, state, rng, columns = self.factored(monkeypatch)
@@ -691,20 +675,29 @@ class TestKeptFactor:
         assert columns == [g.ny * (g.nx - 1), (g.ny - 1) * g.nx]
 
     def test_indefinite_trailing_update_raises(self, monkeypatch):
-        solver, _, rng, columns = self.factored(monkeypatch)
-        (coeffs, viscous), shape = random_values(solver, "u", rng)
-        old, forcing = np.zeros(shape), np.ones(shape)
-        solve_system(solver._u, (coeffs, viscous), old, forcing)
-        # a negative diagonal in the last x-column of faces, below its
-        # first rows: only the rows from there on are factored
-        indefinite = viscous.copy()
-        indefinite[0, 3, -1] = -2.0 / solver.cfg.dt
-        rows, n = shape[0], shape[0] * shape[1]
+        # a refresh that fails keeps neither its factor nor the viscosity
+        # it was for: the next call, at that viscosity, refactors u whole
+        solver, state, rng, columns = self.factored(monkeypatch)
+        g, c0 = self.grid, 7
+        moved = self.trailing_move(state, rng, c0)
+        viscous_part = solver_module._Momentum.viscous_part
+
+        def indefinite(self, mu):
+            # a negative diagonal in the last x-column of faces, below its first rows
+            viscous = viscous_part(self, mu)
+            viscous[0, 3, -1] = -2.0 / solver.cfg.dt
+            return viscous
+
+        monkeypatch.setattr(solver_module._Momentum, "viscous_part", indefinite)
         with pytest.raises(NumericalError, match="u-momentum factorization failed"):
-            solve_system(solver._u, (coeffs, indefinite), old, forcing)
-        # a failed factor is not kept: the next solve factors every column
-        solve_system(solver._u, (coeffs, viscous), old, forcing)
-        assert columns == [n, rows - 3, n]
+            solver.tentative_velocity(moved)
+        monkeypatch.setattr(solver_module._Momentum, "viscous_part", viscous_part)
+        kept = solver.tentative_velocity(moved)
+        n_u, n_v = g.ny * (g.nx - 1), (g.ny - 1) * g.nx
+        # the failed trailing refresh, then every u column and v's trailing ones
+        assert columns == [n_u - (c0 - 1) * g.ny, n_u, n_v - (c0 - 1) * (g.ny - 1)]
+        fresh = CavitySolver(solver.cfg).tentative_velocity(moved)
+        np.testing.assert_array_equal(kept[0], fresh[0])
 
     @pytest.mark.parametrize("make", [default_mushy_config, default_pure_metal_config])
     def test_run_matches_refactoring_every_step(self, monkeypatch, make):
