@@ -74,10 +74,10 @@ class PodBasis:
     ``modes`` and ``coeffs`` come from the basis's own thin SVD of
     ``data`` (a truncated basis slices its ``source``'s), kept to
     ``n_modes``, signed by :func:`_fix_signs`, checked and made
-    read-only. ``modes`` has orthonormal columns; ``coeffs`` holds the
-    rows of ``S V^T``, so ``modes @ coeffs`` reconstructs the snapshot
-    matrix. The spectrum may be longer than the mode count when trailing
-    singular values were clamped to zero (method of snapshots).
+    read-only. ``modes`` has orthonormal columns, each contiguous like a
+    snapshot; ``coeffs`` holds the rows of ``S V^T``, so ``modes @ coeffs``
+    reconstructs the snapshot matrix. The spectrum may be longer than the
+    mode count when trailing singular values were clamped to zero.
     """
 
     def __init__(self, spectrum: PodSpectrum, data: np.ndarray, n_modes: int, source=None):
@@ -94,10 +94,10 @@ class PodBasis:
             modes, coeffs = self._source._factor
             return modes[:, :r], coeffs[:r]
         try:
-            modes, sigma, vt = np.linalg.svd(self._data, full_matrices=False)
+            u, sigma, vt = scipy.linalg.svd(self._data, full_matrices=False, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"mode computation did not converge: {exc}") from exc
-        modes = np.ascontiguousarray(modes[:, :r])
+        modes = u[:, :r]
         coeffs = sigma[:r, None] * vt[:r]
         _fix_signs(modes, coeffs)
         defect = float(np.linalg.norm(modes.T @ modes - np.eye(r)))
@@ -176,14 +176,14 @@ def decompose(m: SnapshotMatrix, method: str = "auto") -> PodBasis:
         become zero and only the positive ones count as modes. ``auto``
         picks the method of snapshots when n_dof > 4 * n_snaps.
 
-    The spectrum is computed with ``scipy.linalg`` alone: numpy and scipy
-    may each ship their own OpenBLAS, and alternating between the two
-    makes each wait for the other's idle threads. On either route the
-    basis computes its modes, on first read, from its own thin SVD of
-    the matrix with ``numpy.linalg``, kept to the route's mode count, so
-    the two routes agree mode by mode. The Gram product squares the data,
-    so the method of snapshots reads a matrix below about 1e-154 as zero
-    and fails above about 1e154; the direct route squares nothing.
+    Spectrum and modes are computed with ``scipy.linalg`` alone: numpy
+    and scipy may each ship their own OpenBLAS, and alternating between
+    the two makes each wait for the other's idle threads. On either route
+    the basis computes its modes, on first read, from its own thin SVD of
+    the matrix, kept to the route's mode count, so the two routes agree
+    mode by mode. The Gram product squares the data, so the method of
+    snapshots reads a matrix below about 1e-154 as zero and fails above
+    about 1e154; the direct route squares nothing.
     """
     if method == "auto":
         method = "method_of_snapshots" if m.n_dof > 4 * m.n_snaps else "direct"

@@ -68,12 +68,12 @@ def _apply(coeffs, shift, w):
     return out.reshape(w.shape)
 
 
-def _check_residual(sol, residual, rhs, tol, label):
+def _check_residual(sol, residual, rhs, label):
     """Raise :class:`NumericalError` unless the solution ``sol`` is finite
-    and ``|residual| <= tol * max(|rhs|, 1)``."""
+    and ``|residual| <= SOLVE_TOL * max(|rhs|, 1)``."""
     residual = np.linalg.norm(residual)
     scale = max(np.linalg.norm(rhs), 1.0)
-    if not np.all(np.isfinite(sol)) or residual > tol * scale:
+    if not np.all(np.isfinite(sol)) or residual > SOLVE_TOL * scale:
         raise NumericalError(
             f"{label} solve did not reach tolerance", residual=float(residual / scale)
         )
@@ -108,7 +108,7 @@ class _Separable:
 
     def solve(self, rhs):
         sol = self.qy @ ((self.qy.T @ rhs @ self.qx) / self.eig) @ self.qx.T
-        _check_residual(sol, self.apply(sol) - rhs, rhs, SOLVE_TOL, self.label)
+        _check_residual(sol, self.apply(sol) - rhs, rhs, self.label)
         return sol
 
 
@@ -327,7 +327,7 @@ class _Momentum:
             raise NumericalError(
                 f"{self.label} refinement did not converge in {MAX_SWEEPS} sweeps"
             )
-        _check_residual(sol, residual, rhs, SOLVE_TOL, self.label)
+        _check_residual(sol, residual, rhs, self.label)
         return sol
 
     def tentative(self, w, wbar, obar, p, mu, forcing):

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import pathlib
 import shlex
+import struct
 import subprocess
 import sys
 
@@ -16,7 +17,8 @@ from conftest import one_segment_snap1
 from podsnap import cli
 from podsnap.cli import build_parser, main
 from podsnap.snapshots import FieldLayout, SnapshotMatrix, read_snap, write_snap
-from podsnap.solidify2d import read_config, run_case
+from podsnap.errors import NumericalError
+from podsnap.solidify2d import read_config, run_case, with_viscosity
 
 TINY_CAVITY = (
     "[grid]\nnx = 10\nny = 10\n"
@@ -475,6 +477,49 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines()[-1] == f"error: (data) {bad}: {message}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_dof, payload, message", [
+        (3, [1.0, 2.0, 3.0], "layout covers 2 rows but header declares 3 (byte offset 31)"),
+        (2, [1.0, np.nan],
+         "invalid payload: snapshot matrix contains non-finite entries (byte offset 55)"),
+    ], ids=["n_dof-disagrees-with-segments", "nan-payload"])
+    def test_inconsistent_snap1_is_2(self, tmp_path, capsys, n_dof, payload, message):
+        # one segment "x" of 2 rows, one snapshot labelled 1.0
+        path = tmp_path / "m.snap"
+        path.write_bytes(b"PODSNAP1" + struct.pack("<IIIH", n_dof, 1, 1, 1) + b"x"
+                         + struct.pack("<II", 0, 2) + struct.pack("<d", 1.0)
+                         + np.asarray(payload, dtype="<f8").tobytes())
+        assert run_cli("pod", "--in", str(path), "--out", str(tmp_path / "s.csv")) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: (data) {path}: {message}"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.snap"]
+
+    def test_spectrum_row_with_three_fields_is_2(self, tmp_path, capsys):
+        header = "index,sigma,sigma_norm,cumulative_energy\n"
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(header + "1,2,1,1\n2,1,1\n")
+        good.write_text(header + "1,2,1,1\n2,1,1,1\n")
+        out = tmp_path / "report.csv"
+        assert run_cli("analyze", "--in", str(bad), str(good), "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: (data) {bad}:3: expected 4 fields, got 3"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[time]\nn_steps = 0\n", "n_steps and snap_every must be at least 1"),
+        ("[time]\nn_steps = 4\n[output]\nsnap_every = 5\n",
+         "snap_every = 5 exceeds n_steps = 4; the run would collect no snapshots"),
+        ("[boundary]\nh = -1\n", "heat transfer coefficient must be >= 0, got -1.0"),
+        ("[material]\nviscosity_model = glass\n", "unknown viscosity model 'glass'"),
+        ("[material]\nmu_liquid = 0\n", "mu_liquid must be positive, got 0.0"),
+    ], ids=["no-steps", "no-snapshots", "negative-h", "unknown-viscosity-model", "zero-mu"])
+    def test_rejected_config_value_is_1(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "case.cfg"
+        cfg_path.write_text("[grid]\nnx = 8\nny = 8\n" + text)
+        out = tmp_path / "c.snap"
+        assert run_cli("gen-cavity2d", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: (usage) {message}"
+        assert not out.exists()
+
     def test_help_exits_zero_and_lists_defaults(self, capsys):
         assert run_cli("gen-sigmoid", "--help") == 0
         out = capsys.readouterr().out
@@ -578,7 +623,7 @@ class TestRepro:
         code = run_cli("repro", "--out-dir", str(tmp_path / "study"),
                        "--cavity-config", str(cfg_path))
         assert code == 3
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "error: (numerical) aborted at step 2 (t = 10): advective CFL number 9.272 "
-            "exceeds 1; reduce dt below 5.393e-01"
-        )
+        # repro waits on the mushy worker first, so the mushy error is the one reported
+        with pytest.raises(NumericalError) as in_process:
+            run_case(with_viscosity(read_config(cfg_path), "mushy"))
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: (numerical) {in_process.value}"

@@ -37,8 +37,8 @@ def test_benchmark_names_resolve_and_tracer_restores_them():
 
 def test_traced_spectrum_reads_do_not_force_the_factor():
     # decompose_info reads basis.n_modes after every traced call; that
-    # read, like .spectrum, must not compute the modes. The tracer sees
-    # the numpy.linalg calls, which only the factor paths make.
+    # read, like .spectrum, must not compute the modes, which the basis
+    # keeps in its cached _factor once computed
     spans = load("spans")
     m = matrix_from_array(np.random.default_rng(1).normal(size=(40, 6)))
     with spans.installed(spans.Tracer()) as tracer:
@@ -47,9 +47,9 @@ def test_traced_spectrum_reads_do_not_force_the_factor():
         names = [span[spans.NAME] for span in tracer.spans]
         assert names == ["pod.decompose", "pod.decompose"]
         for basis in bases:
-            basis.modes
-    names = [span[spans.NAME] for span in tracer.spans]
-    assert names[2:] == ["pod.linalg.svd", "pod.linalg.svd"]
+            assert "_factor" not in vars(basis)
+            assert basis.modes.shape == (40, 6)
+            assert "_factor" in vars(basis)
 
 
 def test_traced_step_factors_both_momentum_systems():

@@ -175,6 +175,20 @@ def reference_matrix(coeffs, shape, dt):
     return reference_operator(coeffs, shape) + sp.identity(n, format="csc") / dt
 
 
+def direct_momentum_solve(dt, labels):
+    """A stand-in for :meth:`_Momentum.solve`: SuperLU with its default
+    COLAMD ordering on the full nonsymmetric matrix, no refinement. Each
+    call appends its system's label to ``labels``."""
+
+    def solve(self, coeffs, old, forcing):
+        labels.append(self.label)
+        matrix = reference_matrix(coeffs, old.shape, dt)
+        rhs = (2.0 / dt) * old.ravel() - matrix @ old.ravel() + forcing.ravel()
+        return spla.spsolve(matrix, rhs).reshape(old.shape)
+
+    return solve
+
+
 def diagonals_to_dense(diagonals, kd):
     """The symmetric matrix whose nonzero lower band diagonals, main, first
     and kd-th, are the flat ``(3, n)`` array ``diagonals``."""
@@ -443,14 +457,19 @@ class TestMomentumSystems:
         solves = len(sweeps) / 2 / (2 * cfg.n_steps)
         assert 1.0 < solves <= 3.0, solves
 
-    def test_low_viscosity_run_stops_on_cfl_not_in_refinement(self):
+    def test_low_viscosity_run_stops_on_cfl_not_in_refinement(self, monkeypatch):
         # near rest at viscosity 1e-5 the sweeps contract by up to about half
         # the CFL number and take up to 23 of them; the run must end at the
-        # CFL check, on the step where a direct solve's run ends too
+        # CFL check, on the step and with the CFL number where a direct
+        # solve's run ends too
         cfg = SimConfig(grid=StaggeredGrid2D(32, 32), dt=0.005, n_steps=800,
                         viscosity=ViscosityModel(kind="sharp_jump", mu_liquid=1e-5))
-        with pytest.raises(NumericalError, match=r"aborted at step 24 .*advective CFL number 1.106"):
+        with pytest.raises(NumericalError, match=r"aborted at step \d+ .*advective CFL number") as shipped:
             run_case(cfg)
+        monkeypatch.setattr(solver_module._Momentum, "solve", direct_momentum_solve(cfg.dt, []))
+        with pytest.raises(NumericalError) as direct:
+            run_case(cfg)
+        assert str(shipped.value) == str(direct.value)
 
     def test_ordering_changes_snapshots_only_at_round_off(self, monkeypatch):
         cfg = default_pure_metal_config(grid=StaggeredGrid2D(16, 16), n_steps=40, snap_every=2)
@@ -459,16 +478,7 @@ class TestMomentumSystems:
         # the wall column freezes on step 1; the front then advances
         assert frozen[-1] > frozen[0] > 0
         labels = []
-
-        def direct(self, coeffs, old, forcing):
-            # SuperLU with its default COLAMD ordering on the full
-            # nonsymmetric matrix, no refinement
-            labels.append(self.label)
-            matrix = reference_matrix(coeffs, old.shape, cfg.dt)
-            rhs = (2.0 / cfg.dt) * old.ravel() - matrix @ old.ravel() + forcing.ravel()
-            return spla.spsolve(matrix, rhs).reshape(old.shape)
-
-        monkeypatch.setattr(solver_module._Momentum, "solve", direct)
+        monkeypatch.setattr(solver_module._Momentum, "solve", direct_momentum_solve(cfg.dt, labels))
         reordered = run_case(cfg)
         assert labels == ["u-momentum", "v-momentum"] * cfg.n_steps
         moved = False
@@ -1065,6 +1075,30 @@ class TestStepping:
             run_case(cfg)
         assert "CFL" in str(err.value)
         assert "step" in str(err.value)
+
+    def test_unprojected_face_aborts_the_run(self, monkeypatch):
+        # t_ref below the start temperature drives the fluid from step 1
+        cfg = small_config(n_steps=4, snap_every=2, initial_temp=700.0, t_ref=660.0)
+        update = CavitySolver.velocity_update
+
+        def one_face_uncorrected(self, u_tent, v_tent, phi):
+            u_new, v_new = update(self, u_tent, v_tent, phi)
+            v_new[8, 8] = v_tent[8, 8]
+            return u_new, v_new
+
+        monkeypatch.setattr(CavitySolver, "velocity_update", one_face_uncorrected)
+        with pytest.raises(NumericalError,
+                           match=r"^aborted at step 1 .*projection left residual divergence"):
+            run_case(cfg)
+
+    def test_observer_sees_each_collected_state(self):
+        cfg = small_config(n_steps=12, snap_every=4, t_ref=660.0)
+        states = []
+        m = run_case(cfg, observer=states.append)
+        assert [state.step for state in states] == [4, 8, 12]
+        for k, state in enumerate(states):
+            assert state.time == m.column_labels[k]
+            np.testing.assert_array_equal(state.temp.ravel(), m.field("T")[:, k])
 
     def test_no_buoyancy_keeps_fluid_at_rest(self):
         cfg = quiescent_config(n_steps=20, snap_every=4)
