@@ -69,28 +69,36 @@ def _check_distinct(inputs, outputs) -> None:
 # ----------------------------------------------------------------------
 # generation verbs
 # ----------------------------------------------------------------------
-def _cmd_gen_heat1d(args) -> None:
-    cfg = cases1d.Heat1DConfig(grid=Grid1D(args.nodes), n_snaps=args.snapshots)
+# verb -> (help text, the matrix its parsed options build)
+_GEN1D = {
+    "gen-heat1d": ("1D heat-equation snapshots", lambda args: cases1d.solve_heat1d(
+        cases1d.Heat1DConfig(grid=Grid1D(args.nodes), n_snaps=args.snapshots))),
+    "gen-jump": ("advected-jump snapshots",
+                 lambda args: cases1d.gen_advected_jump(Grid1D(args.nodes), args.snapshots)),
+    "gen-sigmoid": ("advected-sigmoid snapshots", lambda args: cases1d.gen_sigmoid(
+        Grid1D(args.nodes), args.snapshots, k=args.steepness)),
+}
+
+
+def _cmd_gen1d(args) -> None:
     _echo(args)
-    write_snap(cases1d.solve_heat1d(cfg), args.out)
+    write_snap(_GEN1D[args.verb][1](args), args.out)
 
 
-def _cmd_gen_jump(args) -> None:
-    _echo(args)
-    write_snap(cases1d.gen_advected_jump(Grid1D(args.nodes), args.snapshots), args.out)
-
-
-def _cmd_gen_sigmoid(args) -> None:
-    _echo(args)
-    matrix = cases1d.gen_sigmoid(Grid1D(args.nodes), args.snapshots, k=args.steepness)
-    write_snap(matrix, args.out)
+def _generate_cavity(cfg: SimConfig, path) -> None:
+    """Run one cavity case and write its SNAP1 file. ``gen-cavity2d``
+    calls this directly; ``repro`` calls it in a worker process, so only
+    completion or an exception crosses back. Workers receive this
+    function by name and look ``run_case`` and ``write_snap`` up when
+    they call them."""
+    write_snap(run_case(cfg), path)
 
 
 def _cmd_gen_cavity2d(args) -> None:
     _check_distinct([args.config], [args.out])
     cfg = read_config(args.config)
     _echo(args, cfg)
-    write_snap(run_case(cfg), args.out)
+    _generate_cavity(cfg, args.out)
 
 
 # ----------------------------------------------------------------------
@@ -153,18 +161,10 @@ def _cmd_analyze(args) -> None:
 _CAVITY_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
 
 
-def _generate_cavity(cfg: SimConfig, path) -> None:
-    """Run one cavity case in a worker process and write its SNAP1 file
-    there, so only completion or an exception crosses back. Workers
-    receive this function by name and look ``run_case`` and
-    ``write_snap`` up when they call them."""
-    write_snap(run_case(cfg), path)
-
-
 def _cmd_repro(args) -> None:
-    """The whole study. Each cavity case runs in a worker process that
-    writes its own SNAP1 file, and the 1D cases run on threads. The parent
-    then runs the ``pod`` step on every SNAP1 file it wrote and the
+    """The whole study. Each case's SNAP1 file is written by the job that
+    made it: a worker process per cavity case, a thread per 1D case. The
+    parent then runs the ``pod`` step on every SNAP1 file and the
     ``analyze`` step on each report's spectrum CSVs."""
     out_dir = pathlib.Path(args.out_dir)
     base = (read_config(args.cavity_config) if args.cavity_config is not None
@@ -208,12 +208,12 @@ def _cmd_repro(args) -> None:
         in_workers = [procs.submit(_generate_cavity, cfg, out_dir / f"{name}.snap")
                       for name, cfg in cavity.items()]
         with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
-            futures = {name: pool.submit(fn) for name, fn in tasks.items()}
-            for fut in (*futures.values(), *in_workers):
+            in_threads = [pool.submit(lambda make, path: write_snap(make(), path),
+                                      make, out_dir / f"{name}.snap")
+                          for name, make in tasks.items()]
+            for fut in (*in_threads, *in_workers):
                 fut.result()
 
-    for name in tasks:  # a future holds its matrix until popped
-        write_snap(futures.pop(name).result(), out_dir / f"{name}.snap")
     # POD runs here rather than in the workers, where each forked worker's
     # BLAS thread pool would contend with the other's. Each case is read
     # back from its file, so the process holds one matrix at a time.
@@ -243,19 +243,12 @@ def build_parser() -> _Parser:
                        help="number of snapshot columns")
     gen1d.add_argument("--out", required=True, help="output SNAP1 path")
 
-    p = sub.add_parser("gen-heat1d", help="1D heat-equation snapshots", parents=[gen1d],
-                       formatter_class=fmt)
-    p.set_defaults(handler=_cmd_gen_heat1d)
-
-    p = sub.add_parser("gen-jump", help="advected-jump snapshots", parents=[gen1d],
-                       formatter_class=fmt)
-    p.set_defaults(handler=_cmd_gen_jump)
-
-    p = sub.add_parser("gen-sigmoid", help="advected-sigmoid snapshots", parents=[gen1d],
-                       formatter_class=fmt)
+    for verb, (help_text, _) in _GEN1D.items():
+        p = sub.add_parser(verb, help=help_text, parents=[gen1d], formatter_class=fmt)
+        p.set_defaults(handler=_cmd_gen1d)
+    p = sub.choices["gen-sigmoid"]
     p.add_argument("--steepness", type=finite_float, default=cases1d.STEEP_K,
                    help="sigmoid front steepness k")
-    p.set_defaults(handler=_cmd_gen_sigmoid)
 
     p = sub.add_parser("gen-cavity2d", help="2D freezing-cavity snapshots",
                        formatter_class=fmt)

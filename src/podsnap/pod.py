@@ -97,7 +97,8 @@ class PodBasis:
             u, sigma, vt = scipy.linalg.svd(self._data, full_matrices=False, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"mode computation did not converge: {exc}") from exc
-        modes = u[:, :r]
+        # a clamped basis copies its r columns so that U can be freed
+        modes = u[:, :r] if r == u.shape[1] else u[:, :r].copy(order="F")
         coeffs = sigma[:r, None] * vt[:r]
         _fix_signs(modes, coeffs)
         defect = float(np.linalg.norm(modes.T @ modes - np.eye(r)))

@@ -94,6 +94,14 @@ class TestGenerationVerbs:
         assert "config: nodes = 256" in err
         assert "config: snapshots = 128" in err
 
+    @pytest.mark.parametrize("verb", ["gen-heat1d", "gen-jump", "gen-sigmoid"])
+    def test_1d_verbs_echo_before_rejecting_a_grid(self, tmp_path, capsys, verb):
+        assert run_cli(verb, "--nodes", "1", "--out", str(tmp_path / "x.snap")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "config: nodes = 1"
+        assert err[-1] == "error: (usage) need at least 2 nodes, got 1"
+        assert not (tmp_path / "x.snap").exists()
+
     def test_every_option_is_echoed(self, tmp_path, capsys):
         # "every run echoes its resolved configuration": each option a verb
         # parses must show up as a config line (repro: see TestRepro)
@@ -608,6 +616,22 @@ class TestRepro:
                            "--out", str(pod_dir / f"report_{label}.csv")) == 0
             for name in (f"report_{label}.csv", f"report_{label}_verdicts.csv"):
                 assert (out_dir / name).read_bytes() == (pod_dir / name).read_bytes(), name
+
+    def test_gen_verbs_write_the_1d_files_repro_writes(self, tmp_path):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_CAVITY)
+        out_dir = tmp_path / "study"
+        assert run_cli("repro", "--out-dir", str(out_dir), "--cavity-config", str(cfg_path)) == 0
+        runs = {
+            "heat.snap": ("gen-heat1d",),
+            "jump.snap": ("gen-jump",),
+            "sigmoid_steep.snap": ("gen-sigmoid",),
+            "sigmoid_stretched.snap": ("gen-sigmoid", "--steepness", "15"),
+        }
+        for name, argv in runs.items():
+            path = tmp_path / name
+            assert run_cli(*argv, "--out", str(path)) == 0
+            assert path.read_bytes() == (out_dir / name).read_bytes(), name
 
     def test_generate_cavity_writes_its_case_and_returns_nothing(self, tmp_path):
         cfg_path = tmp_path / "tiny.cfg"

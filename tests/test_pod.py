@@ -145,6 +145,19 @@ class TestLazyModes:
         assert modes.flags.f_contiguous and not modes.flags.writeable
         assert truncate(basis, 3).modes.flags.f_contiguous
 
+    def test_clamped_modes_own_their_columns_and_full_modes_view_u(self):
+        m = random_snapshot_matrix(np.random.default_rng(65), 4000, 200, rank=20)
+        clamped = decompose(m, "method_of_snapshots")
+        direct = decompose(m, "direct")
+        assert (clamped.n_modes, direct.n_modes) == (20, 200)
+        modes = clamped.modes
+        # the r columns are copied out, so the 4000 x 200 U is not held
+        assert modes.base is None
+        assert modes.flags.f_contiguous and not modes.flags.writeable
+        assert np.array_equal(modes, direct.modes[:, :20])
+        # all of U is kept: the modes stay a view, with no extra copy
+        assert direct.modes.base is not None
+
     @pytest.mark.parametrize("method", ["direct", "method_of_snapshots"])
     def test_non_orthonormal_factor_raises_on_first_read(self, monkeypatch, method):
         original = scipy.linalg.svd
